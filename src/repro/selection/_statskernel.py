@@ -1,233 +1,243 @@
 """Optional fused statistics kernel for the bound tier (ctypes + cc).
 
-The bound tier's cheap pass needs four row statistics per chunk —
-``Σ|x|``, ``Σx``, ``max|x|`` and ``min{|x| : x != 0}`` — which the NumPy
-fallback computes in five full-matrix sweeps (abs, max, min, two sums).
-At serving-stream sizes those sweeps are memory-bound: the operand matrix
-is read five times and an ``|x|`` temporary is written once.  This kernel
-fuses everything into a single read pass with eight independent
-accumulator lanes per statistic, so the stream is touched exactly once
-and the loop runs at memory bandwidth instead of ufunc-dispatch rate.
+The bound tier's cheap pass needs four statistics per reduction — ``Σ|x|``,
+``Σx``, ``max|x|`` and ``min{|x| : x != 0}`` — which the NumPy fallback
+computes in five full-matrix sweeps (abs, max, min, two sums) over a packed
+copy of the stream.  This kernel does the whole stream in one call: it walks
+the stream's chunk lists itself, reads each chunk in place through the
+buffer protocol (no packing copy), and takes all four row statistics in one
+read with eight independent SIMD lanes per statistic.  The per-rank
+partials then merge as :func:`bound_stats_item` merges them: ``max``/``min``
+across ranks and NumPy's pairwise order (``np.sum``) for the two sums.
 
 Unlike the balanced-sweep kernels in :mod:`repro.trees._ckernels`, this
 kernel is **not** bitwise-equal to its NumPy fallback and does not need to
-be: the lane-parallel summation is just a different fixed association
+be: the lane-parallel row summation is just a different fixed association
 order, and the bound tier certifies its statistics against the worst case
 over *any* binary64 summation of height ``<= n-1`` (the lane + tail +
 combine path of a ``width``-element row is at most ``width - 1`` roundings
 for every width).  What must hold — and does — is per-process consistency:
 availability is decided once per process, the shard workers inherit the
 same environment and digest-addressed cache as the parent, and
-``bound_stats_item`` and ``bound_stats_stream`` route through the same
-per-row code, so serial and parallel dispatch keep producing identical
+``bound_stats_item`` and ``bound_stats_stream`` make the same kernel call
+per item, so serial and parallel dispatch keep producing identical
 statistics and therefore identical decisions.
 
-Availability mirrors the tree kernels: compiled on first use with the
-system C compiler into the shared content-addressed cache; no compiler,
-a failed compile, or ``REPRO_NO_CKERNELS`` silently selects the NumPy
-fallback.  Nothing is downloaded or installed.
+Availability is decided by the shared loader (:mod:`repro.util.ckernel`):
+no compiler, a failed compile or load, or ``REPRO_NO_CKERNELS`` silently
+selects the NumPy fallback.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
-from typing import Optional
 
 import numpy as np
 
-from repro.obs import get_registry
+from repro.util.ckernel import PAIRWISE_SUM_C, CKernel
 
-__all__ = ["kernel_available", "rowstats"]
+__all__ = ["kernel_available", "stream_stats"]
 
-#: Eight lanes: enough independent add chains to hide FP-add latency and
-#: let the compiler keep every statistic in SIMD registers; the remainder
-#: folds into lane 0 and the lanes merge in a fixed order, so any element's
-#: leaf-to-root path sees at most ``width - 1`` roundings (the certified-
-#: statistics budget the tier already assumes).
-_C_SOURCE = r"""
-#include <math.h>
+#: Eight lanes: enough independent add chains to hide FP-add latency, held
+#: in SIMD vectors per statistic; the remainder folds into lane 0 and
+#: the lanes merge in a fixed order, so any element's leaf-to-root path sees
+#: at most ``width - 1`` roundings (the certified-statistics budget the tier
+#: already assumes).
+_C_SOURCE = PAIRWISE_SUM_C + r"""
 #include <stddef.h>
-#include <stdint.h>
+#include <stdlib.h>
 
-#define LANES 8
+/* The stable-ABI CPython calls the stream walker makes (see
+ * repro.util.ckernel: declared here, resolved at load). */
+typedef struct _object PyObject;
+typedef ptrdiff_t Py_ssize_t;
+typedef struct {
+    void *buf;
+    PyObject *obj;
+    Py_ssize_t len, itemsize;
+    int readonly, ndim;
+    char *format;
+    Py_ssize_t *shape, *strides, *suboffsets;
+    void *internal;
+} Py_buffer;
+Py_ssize_t PyList_Size(PyObject *);
+PyObject *PyList_GetItem(PyObject *, Py_ssize_t);
+int PyObject_GetBuffer(PyObject *, Py_buffer *, int);
+void PyBuffer_Release(Py_buffer *);
+void PyErr_Clear(void);
+#define BUF_C_CONTIGUOUS_FORMAT (0x0038 | 0x0004)
 
-int bound_rowstats(const double *restrict data, int64_t n_rows,
-                   int64_t width, double *restrict out)
+/* The eight lanes as LANES / VW vectors of VW doubles: 4-wide where AVX
+ * is enabled, 2-wide (SSE2, NEON) elsewhere; the same bits either way. */
+#if defined(__AVX__)
+#define VW 4
+#else
+#define VW 2
+#endif
+#define NV (LANES / VW)
+typedef double vd __attribute__((vector_size(VW * sizeof(double))));
+typedef int64_t vl __attribute__((vector_size(VW * sizeof(int64_t))));
+
+/* lanewise mask ? a : b */
+#define PICK(mask, a, b) ((vd)(((vl)(a) & (mask)) | ((vl)(b) & ~(mask))))
+
+/* out = sum |x|, sum x, max |x|, min nonzero |x| of x[0..w) */
+static void row_stats(const double *restrict x, int64_t w, double out[4])
 {
-    double *restrict abs_out = out;
-    double *restrict sum_out = out + n_rows;
-    double *restrict max_out = out + 2 * n_rows;
-    double *restrict min_out = out + 3 * n_rows;
-    for (int64_t r = 0; r < n_rows; r++) {
-        const double *restrict row = data + (size_t)r * (size_t)width;
-        double s[LANES], a[LANES], mx[LANES], mn[LANES];
-        for (int k = 0; k < LANES; k++) {
-            s[k] = 0.0; a[k] = 0.0; mx[k] = 0.0; mn[k] = INFINITY;
-        }
-        int64_t nb = width - width % LANES;
-        for (int64_t j = 0; j < nb; j += LANES) {
-            for (int k = 0; k < LANES; k++) {
-                double v = row[j + k];
-                double av = fabs(v);
-                s[k] = s[k] + v;
-                a[k] = a[k] + av;
-                mx[k] = av > mx[k] ? av : mx[k];
-                /* min over {av if av > 0 else +inf}: two blend/min idioms
-                 * instead of one fused conditional, which schedules much
-                 * better (and exact zeros never win a min-nonzero) */
-                double cand = av > 0.0 ? av : INFINITY;
-                mn[k] = cand < mn[k] ? cand : mn[k];
-            }
-        }
-        for (int64_t j = nb; j < width; j++) {
-            double v = row[j];
-            double av = fabs(v);
-            s[0] = s[0] + v;
-            a[0] = a[0] + av;
-            mx[0] = av > mx[0] ? av : mx[0];
-            double cand = av > 0.0 ? av : INFINITY;
-            mn[0] = cand < mn[0] ? cand : mn[0];
-        }
-        double st = s[0], at = a[0], mxt = mx[0], mnt = mn[0];
-        for (int k = 1; k < LANES; k++) {
-            st = st + s[k];
-            at = at + a[k];
-            mxt = mx[k] > mxt ? mx[k] : mxt;
-            mnt = mn[k] < mnt ? mn[k] : mnt;
-        }
-        abs_out[r] = at;
-        sum_out[r] = st;
-        max_out[r] = mxt;
-        min_out[r] = mnt;
+    vd zero, inf, s[NV], a[NV], mx[NV], mn[NV];
+    vl magnitude;
+    for (int k = 0; k < VW; k++) {
+        zero[k] = 0.0;
+        inf[k] = INFINITY;
+        magnitude[k] = INT64_MAX;
     }
+    for (int q = 0; q < NV; q++) {
+        s[q] = a[q] = mx[q] = zero;
+        mn[q] = inf;
+    }
+    int64_t nb = w - w % LANES;
+    for (int64_t j = 0; j < nb; j += LANES) {
+        for (int q = 0; q < NV; q++) {
+            vd v;
+            __builtin_memcpy(&v, x + j + q * VW, sizeof v);
+            vd av = (vd)((vl)v & magnitude);
+            s[q] = s[q] + v;
+            a[q] = a[q] + av;
+            mx[q] = PICK(av > mx[q], av, mx[q]);
+            /* exact zeros never win a min-nonzero; NaN fails both compares */
+            vd cand = PICK(av > 0.0, av, inf);
+            mn[q] = PICK(cand < mn[q], cand, mn[q]);
+        }
+    }
+    double sl[LANES], al[LANES], mxl[LANES], mnl[LANES];
+    __builtin_memcpy(sl, s, sizeof sl);
+    __builtin_memcpy(al, a, sizeof al);
+    __builtin_memcpy(mxl, mx, sizeof mxl);
+    __builtin_memcpy(mnl, mn, sizeof mnl);
+    for (int64_t j = nb; j < w; j++) {
+        double v = x[j], av = fabs(v);
+        sl[0] = sl[0] + v;
+        al[0] = al[0] + av;
+        mxl[0] = av > mxl[0] ? av : mxl[0];
+        double cand = av > 0.0 ? av : INFINITY;
+        mnl[0] = cand < mnl[0] ? cand : mnl[0];
+    }
+    double st = sl[0], at = al[0], mxt = mxl[0], mnt = mnl[0];
+    for (int k = 1; k < LANES; k++) {
+        st = st + sl[k];
+        at = at + al[k];
+        mxt = mxl[k] > mxt ? mxl[k] : mxt;
+        mnt = mnl[k] < mnt ? mnl[k] : mnt;
+    }
+    out[0] = at;
+    out[1] = st;
+    out[2] = mxt;
+    out[3] = mnt;
+}
+
+/* items: a list of chunk lists.  Writes abs_sum, sum, max_abs,
+ * min_abs_nonzero per item to out[4 i ..] and the element count to n[i].
+ * Returns 1 when some chunk is not a C-contiguous native float64 buffer
+ * (the caller normalises and retries), -1 when scratch allocation fails. */
+int bound_stream_stats(PyObject *items, int64_t n_items, double *out,
+                       int64_t *n)
+{
+    Py_ssize_t max_ranks = 0;
+    for (int64_t i = 0; i < n_items; i++) {
+        Py_ssize_t r = PyList_Size(PyList_GetItem(items, i));
+        if (r < 0) {
+            PyErr_Clear();
+            return 1;
+        }
+        max_ranks = r > max_ranks ? r : max_ranks;
+    }
+    double *part = malloc((2 * (size_t)max_ranks + 1) * sizeof(double));
+    if (part == NULL)
+        return -1;
+    for (int64_t i = 0; i < n_items; i++) {
+        PyObject *chunks = PyList_GetItem(items, i);
+        Py_ssize_t n_ranks = PyList_Size(chunks);
+        double mx = 0.0, mn = INFINITY, row[4];
+        int64_t count = 0;
+        for (Py_ssize_t r = 0; r < n_ranks; r++) {
+            Py_buffer view;
+            if (PyObject_GetBuffer(PyList_GetItem(chunks, r), &view,
+                                   BUF_C_CONTIGUOUS_FORMAT) != 0) {
+                PyErr_Clear();
+                free(part);
+                return 1;
+            }
+            int f8 = view.itemsize == 8 && view.format != NULL &&
+                     view.format[0] == 'd' && view.format[1] == '\0';
+            int64_t w = (int64_t)(view.len / 8);
+            if (f8)
+                row_stats((const double *)view.buf, w, row);
+            PyBuffer_Release(&view);
+            if (!f8) {
+                free(part);
+                return 1;
+            }
+            part[r] = row[0];
+            part[max_ranks + r] = row[1];
+            mx = row[2] > mx ? row[2] : mx;
+            mn = row[3] < mn ? row[3] : mn;
+            count += w;
+        }
+        out[4 * i] = pairwise_sum(part, n_ranks, 0);
+        out[4 * i + 1] = pairwise_sum(part + max_ranks, n_ranks, 0);
+        out[4 * i + 2] = mx;
+        out[4 * i + 3] = mn;
+        n[i] = count;
+    }
+    free(part);
     return 0;
 }
 """
 
-_lock = threading.Lock()
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_OBS = get_registry()
-
-
-def _compile_library() -> Optional[ctypes.CDLL]:
-    """Compile (or reuse) the stats kernel; None on any failure."""
-    # Build gate only: disabling kernels selects the NumPy statistics pass,
-    # whose (different) rounding is covered by the same certified budget.
-    # repro: allow[FP009] -- build gate, fallback covered by the same certified error budget
-    if os.environ.get("REPRO_NO_CKERNELS"):
-        return None
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        return None
-    # -ffp-contract=off keeps the source's rounding structure (no FMA
-    # contraction), so the height-(width-1) error argument in the module
-    # docstring is about exactly the operations written here.
-    flags = ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"]
-    digest = hashlib.blake2b(
-        (_C_SOURCE + "\0" + " ".join(flags)).encode(), digest_size=16
-    ).hexdigest()
-    # Cache *location* only; the loaded kernel is digest-addressed.
-    # repro: allow[FP009] -- cache path knob, kernel bytes digest-pinned
-    cache_dir = os.environ.get("REPRO_CKERNEL_CACHE") or os.path.join(
-        tempfile.gettempdir(), "repro-ckernels"
-    )
-    so_path = os.path.join(cache_dir, f"boundstats-{digest}.so")
-    try:
-        if not os.path.exists(so_path):
-            outcome = "compiled"
-            os.makedirs(cache_dir, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache_dir) as td:
-                src = os.path.join(td, "statskernel.c")
-                with open(src, "w") as f:
-                    f.write(_C_SOURCE)
-                tmp_so = os.path.join(td, "statskernel.so")
-                try:
-                    subprocess.run(
-                        [cc, *flags, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                except subprocess.CalledProcessError:
-                    # some toolchains lack -march=native (e.g. cross cc)
-                    safe = [f for f in flags if f != "-march=native"]
-                    subprocess.run(
-                        [cc, *safe, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                os.replace(tmp_so, so_path)  # atomic within cache_dir
-        else:
-            outcome = "reused"
-        lib = ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError):
-        if _OBS.enabled:
-            _OBS.counter(
-                "repro_statskernel_compile_events_total", outcome="failed"
-            ).inc()
-        return None
-    if _OBS.enabled:
-        _OBS.counter(
-            "repro_statskernel_compile_events_total", outcome=outcome
-        ).inc()
-    fn = lib.bound_rowstats
-    fn.argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    fn.restype = ctypes.c_int
-    return lib
-
-
-def _get_lib() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted
-    if not _load_attempted:
-        with _lock:
-            if not _load_attempted:
-                _lib = _compile_library()
-                _load_attempted = True
-    return _lib
+_KERNEL = CKernel(
+    "boundstats",
+    _C_SOURCE,
+    {
+        "bound_stream_stats": (
+            [ctypes.py_object, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p],
+            ctypes.c_int,
+        )
+    },
+    metric="repro_statskernel_compile_events_total",
+    python_api=True,
+)
 
 
 def kernel_available() -> bool:
     """True when the fused stats kernel loaded (compiler present, not gated)."""
-    return _get_lib() is not None
+    return _KERNEL.available()
 
 
-def rowstats(flat: np.ndarray, n_rows: int, width: int):
-    """Fused per-row statistics of a packed ``(n_rows, width)`` matrix.
+def stream_stats(batches):
+    """Bound-tier statistics of every item of a stream in one kernel call.
 
-    ``flat`` must be a C-contiguous float64 buffer of ``n_rows * width``
-    elements (rows laid out back to back).  Returns four length-``n_rows``
-    views ``(row_abs, row_sum, row_max, row_min_nonzero)`` backed by one
-    freshly allocated output block, or ``None`` when the kernel is
-    unavailable (caller stays on the NumPy path).
+    ``batches[i]`` is one reduction's chunk list; chunks of any shape and
+    dtype are read as ``np.asarray(c, float64).ravel()`` reads them (C-
+    contiguous float64 chunks in place, anything else through one
+    normalising copy).  Returns ``(n, stats)``: the int64 element count per
+    item and an ``(items, 4)`` array of ``Σ|x|, Σx, max|x|, min nonzero
+    |x|``; or ``None`` when the kernel is unavailable (caller stays on the
+    NumPy path).
     """
-    lib = _get_lib()
+    lib = _KERNEL.load()
     if lib is None:
         return None
-    out = np.empty(4 * n_rows, dtype=np.float64)
-    rc = lib.bound_rowstats(
-        flat.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        ctypes.c_int64(n_rows),
-        ctypes.c_int64(width),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-    )
-    if rc != 0:
-        return None
-    return (
-        out[:n_rows],
-        out[n_rows : 2 * n_rows],
-        out[2 * n_rows : 3 * n_rows],
-        out[3 * n_rows :],
-    )
+    items = [chunks if type(chunks) is list else list(chunks) for chunks in batches]
+    out = np.empty((len(items), 4))
+    n = np.empty(len(items), dtype=np.int64)
+    args = (len(items), out.ctypes.data, n.ctypes.data)
+    rc = lib.bound_stream_stats(items, *args)
+    if rc > 0:
+        items = [
+            [np.asarray(c, dtype=np.float64).ravel() for c in chunks]
+            for chunks in items
+        ]
+        rc = lib.bound_stream_stats(items, *args)
+    if rc:
+        raise MemoryError("bound_stream_stats scratch allocation failed")
+    return n, out

@@ -45,7 +45,7 @@ import numpy as np
 from repro.fp.properties import UNIT_ROUNDOFF, exponent, unit_roundoff
 from repro.metrics.bounds import summation_error_bound
 from repro.metrics.properties import SetProfile
-from repro.selection._statskernel import rowstats as _fused_rowstats
+from repro.selection._statskernel import stream_stats as _kernel_stream_stats
 from repro.selection.policy import SelectionDecision
 from repro.selection.profile import StreamProfile
 
@@ -134,18 +134,34 @@ class BoundStats:
         )
 
 
+def _kernel_stats(batches, us) -> "list[BoundStats] | None":
+    """Every item's statistics from one fused-kernel call (``None`` when
+    the kernel is unavailable)."""
+    cols = _kernel_stream_stats(batches)
+    if cols is None:
+        return None
+    counts, rows = cols[0].tolist(), cols[1].tolist()
+    return [
+        BoundStats(n, row[2], row[3], row[0], row[1], u)
+        for n, row, u in zip(counts, rows, us)
+    ]
+
+
 def bound_stats_item(chunks, u: float) -> BoundStats:
     """Cheap one-pass statistics of one reduction's chunk list.
 
-    Operation order is pinned to match :func:`bound_stats_stream`'s
-    vectorised sweep lane-for-lane: the identical per-chunk row routine
-    (the fused C kernel when available, NumPy pairwise reductions
-    otherwise), then one pairwise :func:`np.sum` across the per-rank
-    partials (NumPy's last-axis reduction applies the identical pairwise
-    routine to each row of a contiguous matrix, which the round-trip test
-    pins), so uniform shards of a ragged stream produce bitwise-identical
-    statistics on either path.
+    Operation order is pinned to match :func:`bound_stats_stream`
+    lane-for-lane: the fused kernel makes the identical per-item call on
+    either path; on the NumPy fallback each chunk's statistics are NumPy
+    pairwise reductions, then one pairwise :func:`np.sum` merges the
+    per-rank partials (NumPy's last-axis reduction applies the identical
+    pairwise routine to each row of a contiguous matrix, which the
+    round-trip test pins), so uniform shards of a ragged stream produce
+    bitwise-identical statistics on either path.
     """
+    fused = _kernel_stats([chunks], [u])
+    if fused is not None:
+        return fused[0]
     n_ranks = len(chunks)
     chunk_abs = np.zeros(n_ranks, dtype=np.float64)
     chunk_sum = np.zeros(n_ranks, dtype=np.float64)
@@ -156,13 +172,6 @@ def bound_stats_item(chunks, u: float) -> BoundStats:
         arr = np.asarray(c, dtype=np.float64).ravel()
         n += int(arr.size)
         if arr.size:
-            planes = _fused_rowstats(arr, 1, arr.size)
-            if planes is not None:
-                chunk_abs[j] = planes[0][0]
-                chunk_sum[j] = planes[1][0]
-                chunk_max[j] = planes[2][0]
-                chunk_min[j] = planes[3][0]
-                continue
             a = np.abs(arr)
             chunk_max[j] = a.max()
             chunk_min[j] = np.min(a, initial=math.inf, where=(a > 0.0))
@@ -178,12 +187,12 @@ def bound_stats_item(chunks, u: float) -> BoundStats:
     )
 
 
-#: reused pack/abs scratch buffers keyed by (rows, width): a steady-state
-#: serving process sees the same stream shape every call, and reallocating
-#: two multi-MB temporaries per call costs more in page faults than the
-#: whole statistics computation (same persistent-buffer idiom as the
-#: dispatch arenas in repro.util.pool)
-_SCRATCH: "dict[tuple[int, int], list]" = {}
+#: reused pack/abs scratch buffers of the NumPy fallback sweep, keyed by
+#: (rows, width): a steady-state serving process sees the same stream shape
+#: every call, and reallocating two multi-MB temporaries per call costs more
+#: in page faults than the whole statistics computation (same
+#: persistent-buffer idiom as the dispatch arenas in repro.util.pool)
+_SCRATCH: "dict[tuple[int, int], tuple]" = {}
 _SCRATCH_SHAPES_MAX = 4
 
 
@@ -198,33 +207,29 @@ def _pack_scratch(rows: int, width: int):
             # repro: allow[FP010] -- scratch cache, buffers overwritten before every read
             _SCRATCH.clear()
         flat = np.empty(rows * width, dtype=np.float64)
-        # the |x| buffer is only needed by the NumPy fallback sweep; the
-        # fused kernel never materialises it, so allocate lazily
-        bufs = [flat, flat.reshape(rows, width), None]
+        bufs = (flat, flat.reshape(rows, width), np.empty((rows, width)))
         _SCRATCH[key] = bufs  # repro: allow[FP010] -- scratch cache, see above
     return bufs
-
-
-def _abs_scratch(bufs) -> np.ndarray:
-    if bufs[2] is None:
-        bufs[2] = np.empty(bufs[1].shape)  # repro: allow[FP010] -- scratch cache, see above
-    return bufs[2]
 
 
 def bound_stats_stream(
     batches, us: Sequence[float]
 ) -> "list[BoundStats]":
-    """Cheap statistics for a whole stream in one vectorised sweep.
+    """Cheap statistics for a whole stream.
 
-    Uniform-width streams (the serving-path common case) pack into one
+    With the fused kernel loaded the stream, ragged or not, is one kernel
+    call that reads every chunk once in place.  On the NumPy fallback,
+    uniform-width streams (the serving-path common case) pack into one
     reused matrix: ~5 NumPy passes replace the profiling sketch's ~50 (the
-    composite-precision ladder), which is where the tier's latency win
-    comes from.  Ragged streams fall back to the bitwise-identical per-item
-    loop.
+    composite-precision ladder); ragged streams take the bitwise-identical
+    per-item loop.
     """
     n_items = len(batches)
     if n_items == 0:
         return []
+    fused = _kernel_stats(batches, us)
+    if fused is not None:
+        return fused
     n_ranks = len(batches[0])
     if any(len(chunks) != n_ranks for chunks in batches):
         return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
@@ -232,12 +237,9 @@ def bound_stats_stream(
         return [
             BoundStats(0, 0.0, math.inf, 0.0, 0.0, u) for u in us
         ]
-    # pack with as little per-chunk Python work as possible: a serving
-    # stream is thousands of small chunk objects, so one attribute access
-    # per chunk is a measurable fraction of the whole tier.  np.concatenate
-    # consumes the raw chunk objects directly (casting floats itself); any
-    # shape the fast pack cannot express falls back to the per-chunk
-    # normalising loop below, bitwise-identically.
+    # np.concatenate consumes the raw chunk objects directly (casting floats
+    # itself); any shape the fast pack cannot express falls back to the
+    # per-chunk normalising loop below, bitwise-identically.
     chunk_list = [c for chunks in batches for c in chunks]
     rows = n_items * n_ranks
     try:
@@ -252,8 +254,7 @@ def bound_stats_stream(
     if not bool((sizes == width).all()):
         return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
     if width:
-        bufs = _pack_scratch(rows, width)
-        flat, matrix = bufs[0], bufs[1]
+        flat, matrix, absbuf = _pack_scratch(rows, width)
         try:
             np.concatenate(chunk_list, out=flat)
         except (TypeError, ValueError):
@@ -263,28 +264,20 @@ def bound_stats_stream(
                 [np.asarray(c, dtype=np.float64).ravel() for c in chunk_list],
                 out=flat,
             )
-        planes = _fused_rowstats(flat, rows, width)
-        if planes is not None:
-            # single fused read pass: the matrix is touched once and no
-            # |x| temporary exists at all (see _statskernel docstring for
-            # why the different association order is certified-safe)
-            row_abs, row_sum, row_max, row_min = planes
-        else:
-            absbuf = _abs_scratch(bufs)
-            np.abs(matrix, out=absbuf)
-            row_max = absbuf.max(axis=1)
-            # min-nonzero: the plain row min is right wherever no zero
-            # occurs (the serving-path common case); only zero-containing
-            # rows pay the slower where-masked reduction
-            row_min = absbuf.min(axis=1)
-            zero_rows = np.nonzero(row_min == 0.0)[0]  # repro: allow[FP001] -- exact sentinel: a zero row-min means the row contains a literal 0.0
-            if zero_rows.size:
-                sub = absbuf[zero_rows]
-                row_min[zero_rows] = np.min(
-                    sub, axis=1, initial=math.inf, where=(sub > 0.0)
-                )
-            row_abs = np.sum(absbuf, axis=1)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
-            row_sum = np.sum(matrix, axis=1)  # repro: allow[FP002] -- same certified cheap-statistics pass
+        np.abs(matrix, out=absbuf)
+        row_max = absbuf.max(axis=1)
+        # min-nonzero: the plain row min is right wherever no zero occurs
+        # (the serving-path common case); only zero-containing rows pay the
+        # slower where-masked reduction
+        row_min = absbuf.min(axis=1)
+        zero_rows = np.nonzero(row_min == 0.0)[0]  # repro: allow[FP001] -- exact sentinel: a zero row-min means the row contains a literal 0.0
+        if zero_rows.size:
+            sub = absbuf[zero_rows]
+            row_min[zero_rows] = np.min(
+                sub, axis=1, initial=math.inf, where=(sub > 0.0)
+            )
+        row_abs = np.sum(absbuf, axis=1)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
+        row_sum = np.sum(matrix, axis=1)  # repro: allow[FP002] -- same certified cheap-statistics pass
     else:
         row_max = np.zeros(rows, dtype=np.float64)
         row_min = np.full(rows, math.inf)
@@ -414,28 +407,25 @@ class BoundTier:
 
         decisions: "list[SelectionDecision | None]" = [None] * n_items
         relative_costs = policy.cost_model.relative
-        for i in np.nonzero(resolved >= 0)[0]:
+        # per-item Python below: read every array once as a list
+        k_hi_l, predicted_l = k_hi.tolist(), predicted.tolist()
+        bound_l = {c: b.tolist() for c, b in bounds_by_code.items()}
+        for i in np.nonzero(resolved >= 0)[0].tolist():
             ci = int(resolved[i])
             code = candidates[ci]
             s = stats[i]
             profile = SetProfile(
-                n=s.n,
-                condition=float(k_hi[i]),
-                dynamic_range=s.dynamic_range_estimate(),
-                max_abs=s.max_abs,
-                abs_sum=s.abs_sum,
+                s.n, k_hi_l[i], s.dynamic_range_estimate(), s.max_abs, s.abs_sum
             )
             decisions[i] = SelectionDecision(
-                code=code,
-                threshold=threshold,
-                predicted_std=float(predicted[i]),
-                profile=profile,
-                candidate_predictions={
-                    c: float(bounds_by_code[c][i]) for c in candidates[: ci + 1]
-                },
-                relative_cost=relative_costs.get(code, math.nan),
-                tier="bound",
-                u=s.u,
+                code,
+                threshold,
+                predicted_l[i],
+                profile,
+                {c: bound_l[c][i] for c in candidates[: ci + 1]},
+                relative_costs.get(code, math.nan),
+                "bound",
+                s.u,
             )
         return decisions
 

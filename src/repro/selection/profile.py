@@ -17,12 +17,31 @@ calls for.
 Accuracy: ``dr`` is exact (it only needs the extreme exponents); ``k̂``
 matches the exact condition number to ~n·u² relative, far tighter than the
 decade granularity selection needs (tests pin this).
+
+Execution: on the selector's paths (:func:`profile_batch` for streams,
+:func:`profile_stream` for one item) the sketch runs as one fused C kernel
+when the shared loader (:mod:`repro.util.ckernel`) has a compiler.  It reads
+each chunk once from a flat ``<f8`` buffer addressed by int64 chunk offsets,
+so ragged streams take the same path as uniform ones, and it replays the
+NumPy operations in their exact order: the |x| sum in NumPy's pairwise
+order (eight accumulators up to 128 elements, then a split at ``n/2``
+rounded down to a multiple of 8), the TwoSum ladder of :func:`_cp_sum` with
+each level's error summed the same way, and the rank-merge chain of
+:meth:`StreamProfile.merge`.  Built with ``-ffp-contract=off``, every sketch
+field is **bitwise equal** to the NumPy path, which stays as the fallback
+(no compiler, or ``REPRO_NO_CKERNELS`` set).  NaN wins ``max_abs`` as in
+``np.maximum`` and is skipped by the min-nonzero as ``where=(a > 0)``
+skips it, on both paths.  The contract was checked on NumPy 2.4; NumPy does
+not promise to keep its private summation order, so the kernel-vs-NumPy
+parity tests run in CI against whichever NumPy it installs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,18 +49,31 @@ from repro.fp.eft import two_sum, two_sum_array
 from repro.fp.properties import exponent
 from repro.metrics.properties import SetProfile
 from repro.obs import get_registry
+from repro.util.ckernel import PAIRWISE_SUM_C, CKernel
 
-__all__ = ["StreamProfile", "profile_chunk", "profile_stream", "profile_batch"]
+__all__ = [
+    "StreamProfile",
+    "kernel_available",
+    "profile_chunk",
+    "profile_stream",
+    "profile_batch",
+]
 
 _OBS = get_registry()
 
 
 def _record_profile_path(path: str, n_items: int) -> None:
-    """Count which profiling path a stream took (batched sweep vs ragged
-    per-item fallback) and how many items rode it."""
+    """Count which profiling path a stream took (C kernel, NumPy batched
+    sweep, or the NumPy ragged per-item fallback) and how many items rode
+    it."""
     if _OBS.enabled:
         _OBS.counter("repro_profile_batch_total", path=path).inc()
         _OBS.counter("repro_profile_items_total", path=path).inc(n_items)
+
+
+def _nan_max(a: float, b: float) -> float:
+    """``np.maximum`` of two floats: a NaN in either operand wins."""
+    return a if math.isnan(a) or a >= b else b
 
 
 @dataclass
@@ -64,7 +96,7 @@ class StreamProfile:
             return
         a = np.abs(chunk)
         self.n += int(chunk.size)
-        self.max_abs = max(self.max_abs, float(a.max()))
+        self.max_abs = _nan_max(self.max_abs, float(a.max()))
         # masked min instead of materialising a[a != 0] — one pass, no copy
         mn = float(np.min(a, initial=math.inf, where=(a > 0.0)))
         if mn < self.min_abs_nonzero:
@@ -86,7 +118,7 @@ class StreamProfile:
     def merge(self, other: "StreamProfile") -> None:
         """Associative sketch merge (the allreduce combine)."""
         self.n += other.n
-        self.max_abs = max(self.max_abs, other.max_abs)
+        self.max_abs = _nan_max(self.max_abs, other.max_abs)
         self.min_abs_nonzero = min(self.min_abs_nonzero, other.min_abs_nonzero)
         self._add_abs(other.abs_sum_hi)
         self.abs_sum_lo += other.abs_sum_lo
@@ -154,14 +186,6 @@ def profile_chunk(chunk: np.ndarray) -> StreamProfile:
     return p
 
 
-def profile_stream(chunks: "list[np.ndarray]") -> StreamProfile:
-    """Sketch a distributed set: profile each chunk, merge (the allreduce)."""
-    total = StreamProfile()
-    for c in chunks:
-        total.merge(profile_chunk(c))
-    return total
-
-
 def _cp_sum_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`_cp_sum`: ``(hi, lo)`` vectors, each row bitwise-equal
     to ``_cp_sum(matrix[r])`` (NumPy applies the same pairwise reduction to
@@ -182,20 +206,9 @@ def _cp_sum_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def profile_batch(batches) -> "list[StreamProfile] | None":
-    """Sketch a whole stream of same-shape distributed sets in bulk.
-
-    ``batches[i]`` is one reduction's per-rank chunk list.  When every chunk
-    across the stream has the same length (the serving-path common case) the
-    per-chunk statistics are computed as row sweeps over one packed matrix
-    and the per-item rank merges replay the :meth:`StreamProfile.merge`
-    recurrence vectorised across items — every returned sketch is
-    bitwise-equal to ``AdaptiveReducer.profile`` on the same item.  Returns
-    ``None`` for ragged streams (callers fall back to the per-item loop).
-    """
+def _numpy_batch(batches) -> "list[StreamProfile] | None":
+    """The NumPy sweep behind :func:`profile_batch` (``None`` if ragged)."""
     n_items = len(batches)
-    if n_items == 0:
-        return []
     n_ranks = len(batches[0])
     arrays: list[np.ndarray] = []
     for chunks in batches:
@@ -261,3 +274,240 @@ def profile_batch(batches) -> "list[StreamProfile] | None":
         )
         for i in range(n_items)
     ]
+
+
+#: The fused sketch.  Each function replays one NumPy step operation for
+#: operation; the comments name the step.
+_C_SOURCE = PAIRWISE_SUM_C + r"""
+#include <stdlib.h>
+
+static inline double two_sum(double a, double b, double *err)
+{
+    double s = a + b, bb = s - a;
+    *err = (a - (s - bb)) + (b - bb);
+    return s;
+}
+
+/* One chunk's single read, walked leaf by leaf in pairwise order. */
+typedef struct {
+    const double *x;
+    int64_t pairs_end;                /* width rounded down to even */
+    double *restrict t, *restrict e;  /* first ladder level's TwoSums */
+    double mx[LANES], mn[LANES];
+} chunk_pass;
+
+/* The |x| sum of x[off..off+n) in np.sum(np.abs(x))'s order.  Each leaf
+ * (<= PW_BLOCK elements, starting at a multiple of 8) is read from memory
+ * once: its lane max / min-nonzero and the first _cp_sum level's TwoSum
+ * pairs are taken while it is in L1, and no pair straddles two leaves.
+ * The max skips NaN; the caller restores it from the |x| sum, which is
+ * NaN exactly when the chunk holds one.  "> 0" skips NaN in the min as
+ * where=(a > 0) does. */
+static double abs_pass(chunk_pass *p, int64_t off, int64_t n)
+{
+    if (n > PW_BLOCK) {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return abs_pass(p, off, n2) + abs_pass(p, off + n2, n - n2);
+    }
+    const double *restrict a = p->x + off;
+    double res = pairwise_sum(a, n, 1), mx[LANES], mn[LANES];
+    for (int k = 0; k < LANES; k++) {
+        mx[k] = p->mx[k];
+        mn[k] = p->mn[k];
+    }
+    for (int64_t j = 0; j < n; j += LANES) {
+        int64_t m = n - j < LANES ? n - j : LANES;
+        for (int k = 0; k < m; k++) {
+            double av = fabs(a[j + k]), cand = av > 0.0 ? av : INFINITY;
+            mx[k] = av > mx[k] ? av : mx[k];
+            mn[k] = cand < mn[k] ? cand : mn[k];
+        }
+    }
+    for (int k = 0; k < LANES; k++) {
+        p->mx[k] = mx[k];
+        p->mn[k] = mn[k];
+    }
+    int64_t lim = off + n < p->pairs_end ? off + n : p->pairs_end;
+    for (int64_t j = off; j < lim; j += 2)
+        p->t[j >> 1] = two_sum(p->x[j], p->x[j + 1], &p->e[j >> 1]);
+    return res;
+}
+
+/* profile_chunk of x[0..w): row[0..4] = max|x|, min nonzero |x|, sum |x|,
+ * and the _cp_sum (hi, lo).  scratch holds three blocks of half >= w/2 + 1
+ * doubles: two ping-pong ladder levels and their TwoSum errors. */
+static void chunk_sketch(const double *x, int64_t w, double *scratch,
+                         int64_t half, double row[5])
+{
+    chunk_pass p = {x, w - (w & 1), scratch, scratch + 2 * half, {0}, {0}};
+    for (int k = 0; k < LANES; k++)
+        p.mn[k] = INFINITY;
+    double sum_abs = w ? abs_pass(&p, 0, w) : 0.0;
+    double mx = sum_abs != sum_abs ? sum_abs : p.mx[0], mn = p.mn[0];
+    for (int k = 1; k < LANES; k++) {
+        mx = p.mx[k] > mx ? p.mx[k] : mx;
+        mn = p.mn[k] < mn ? p.mn[k] : mn;
+    }
+    /* _cp_sum: TwoSum pairs level by level, each level's errors summed
+     * pairwise into lo; an odd level's last value rides up unpaired */
+    double hi = w == 1 ? x[0] : 0.0, lo = 0.0;
+    if (w > 1) {
+        double *s = p.t, *nxt = scratch + half;
+        int64_t len = w / 2;
+        lo = lo + pairwise_sum(p.e, len, 0);
+        if (w & 1)
+            s[len++] = x[w - 1];
+        while (len > 1) {
+            int64_t h = len / 2;
+            for (int64_t k = 0; k < h; k++)
+                nxt[k] = two_sum(s[2 * k], s[2 * k + 1], &p.e[k]);
+            lo = lo + pairwise_sum(p.e, h, 0);
+            if (len & 1)
+                nxt[h++] = s[len - 1];
+            len = h;
+            double *tmp = s;
+            s = nxt;
+            nxt = tmp;
+        }
+        hi = s[0];
+    }
+    row[0] = mx;
+    row[1] = mn;
+    row[2] = sum_abs;
+    row[3] = hi;
+    row[4] = lo;
+}
+
+/* Sketch every item of a flat <f8 buffer.  Chunk c is
+ * data[chunk_off[c] .. chunk_off[c+1]); item i owns chunks
+ * item_chunks[i] .. item_chunks[i+1].  Writes six doubles per item:
+ * max_abs, min_abs_nonzero, abs_sum_hi, abs_sum_lo, sum_hi, sum_lo. */
+int profile_sketch(const double *data, const int64_t *chunk_off,
+                   const int64_t *item_chunks, int64_t n_items, double *out)
+{
+    int64_t max_w = 0;
+    for (int64_t c = 0; c < item_chunks[n_items]; c++) {
+        int64_t w = chunk_off[c + 1] - chunk_off[c];
+        max_w = w > max_w ? w : max_w;
+    }
+    int64_t half = max_w / 2 + 1;
+    double *scratch = malloc(3 * (size_t)half * sizeof(double));
+    if (scratch == NULL)
+        return -1;
+    for (int64_t i = 0; i < n_items; i++) {
+        double max_tot = 0.0, min_tot = INFINITY;
+        double ah = 0.0, al = 0.0, sh = 0.0, sl = 0.0, err, row[5];
+        for (int64_t c = item_chunks[i]; c < item_chunks[i + 1]; c++) {
+            chunk_sketch(data + chunk_off[c], chunk_off[c + 1] - chunk_off[c],
+                         scratch, half, row);
+            /* profile_chunk from a fresh sketch: two_sum(0.0, hi) */
+            double c_sh = two_sum(0.0, row[3], &err);
+            double c_sl = 0.0 + (err + row[4]);
+            /* the rank-merge chain of StreamProfile.merge */
+            max_tot = (max_tot != max_tot || max_tot >= row[0]) ? max_tot : row[0];
+            min_tot = row[1] < min_tot ? row[1] : min_tot;
+            ah = two_sum(ah, row[2], &err);
+            al = (al + err) + 0.0;
+            sh = two_sum(sh, c_sh, &err);
+            sl = sl + (err + c_sl);
+        }
+        double *o = out + 6 * i;
+        o[0] = max_tot;
+        o[1] = min_tot;
+        o[2] = ah;
+        o[3] = al;
+        o[4] = sh;
+        o[5] = sl;
+    }
+    free(scratch);
+    return 0;
+}
+"""
+
+_KERNEL = CKernel(
+    "sketch",
+    _C_SOURCE,
+    {
+        "profile_sketch": (
+            [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p],
+            ctypes.c_int,
+        )
+    },
+    metric="repro_sketchkernel_compile_events_total",
+)
+
+
+def kernel_available() -> bool:
+    """True when the fused sketch kernel loaded (compiler present, not gated)."""
+    return _KERNEL.available()
+
+
+def _kernel_sketches(lib, batches) -> "list[StreamProfile]":
+    """One :class:`StreamProfile` per item from one fused kernel call.
+
+    Every chunk is cast as ``np.asarray(c, float64).ravel()`` casts it while
+    it is packed into a single flat buffer, which also holds the int64
+    chunk offsets, the items' chunk ranges and the kernel's output.
+    """
+    arrays = [
+        c if type(c) is np.ndarray else np.asarray(c, dtype=np.float64)
+        for chunks in batches
+        for c in chunks
+    ]
+    offsets = list(accumulate((a.size for a in arrays), initial=0))
+    bounds = list(accumulate(map(len, batches), initial=0))
+    n_items, n_values = len(batches), offsets[-1]
+    buf = np.empty(n_values + 6 * n_items + len(offsets) + len(bounds))
+    if arrays:
+        np.concatenate(arrays, axis=None, out=buf[:n_values], casting="unsafe")
+    index = buf[n_values + 6 * n_items :].view(np.int64)
+    index[: len(offsets)] = offsets
+    index[len(offsets) :] = bounds
+    base = buf.ctypes.data
+    at = base + 8 * (n_values + 6 * n_items)
+    if lib.profile_sketch(base, at, at + 8 * len(offsets), n_items, base + 8 * n_values):
+        raise MemoryError("profile_sketch scratch allocation failed")
+    fields = buf[n_values : n_values + 6 * n_items].tolist()
+    return [
+        StreamProfile(
+            offsets[bounds[i + 1]] - offsets[bounds[i]], *fields[6 * i : 6 * i + 6]
+        )
+        for i in range(n_items)
+    ]
+
+
+def profile_stream(chunks: "list[np.ndarray]") -> StreamProfile:
+    """Sketch a distributed set: profile each chunk, merge (the allreduce).
+
+    One fused kernel call when the C kernel loaded, bitwise-equal to the
+    per-chunk loop it replaces."""
+    lib = _KERNEL.load()
+    if lib is not None:
+        return _kernel_sketches(lib, [chunks])[0]
+    total = StreamProfile()
+    for c in chunks:
+        total.merge(profile_chunk(c))
+    return total
+
+
+def profile_batch(batches) -> "list[StreamProfile] | None":
+    """Sketch a whole stream of distributed sets in bulk.
+
+    ``batches[i]`` is one reduction's per-rank chunk list; every returned
+    sketch is bitwise-equal to :func:`profile_stream` on the same item.
+    With the C kernel loaded the whole stream, ragged or not, is one kernel
+    call.  On the NumPy fallback, when every chunk across the stream has
+    the same length (the serving-path common case), the per-chunk statistics
+    are row sweeps over one packed matrix and the per-item rank merges
+    replay the :meth:`StreamProfile.merge` recurrence vectorised across
+    items; ragged streams return ``None`` there (callers fall back to the
+    per-item loop).
+    """
+    if not batches:
+        return []
+    lib = _KERNEL.load()
+    if lib is None:
+        return _numpy_batch(batches)
+    _record_profile_path("ckernel", len(batches))
+    return _kernel_sketches(lib, batches)

@@ -56,7 +56,7 @@ from repro.selection.bound_tier import (
     item_unit_roundoff,
 )
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
-from repro.selection.profile import StreamProfile, profile_batch, profile_chunk
+from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.base import SumContext
 from repro.summation.registry import all_algorithms, get_algorithm
 from repro.trees.tree import ReductionTree
@@ -150,11 +150,8 @@ class AdaptiveReducer:
         return None
 
     def profile(self, chunks: Sequence[np.ndarray]) -> StreamProfile:
-        """Step 1: sketch + allreduce-merge."""
-        total = StreamProfile()
-        for chunk in chunks:
-            total.merge(profile_chunk(chunk))
-        return total
+        """Step 1: sketch + allreduce-merge (:func:`profile_stream`)."""
+        return profile_stream(chunks)
 
     def reduce(
         self,
@@ -274,12 +271,13 @@ class AdaptiveReducer:
     ) -> "list[AdaptiveResult]":
         """Adaptively reduce a stream of independent reductions in bulk.
 
-        The serving path: uniform-width streams profile as one vectorised
-        sweep (:func:`repro.selection.profile.profile_batch`, bitwise-equal
-        to per-item profiling; ragged streams fall back to the loop), the
-        selection step is memoised in a decision cache keyed by the profile
-        signature (``n``, condition-number decade, dynamic range,
-        threshold) — the decade granularity selection actually operates at —
+        The serving path: the stream profiles in one call
+        (:func:`repro.selection.profile.profile_batch`: the fused C sketch
+        kernel, or a vectorised NumPy sweep, both bitwise-equal to per-item
+        profiling), every item's decision is a fresh policy query on its
+        exact sketch (the decision cache only counts how often a signature
+        — ``n``, condition-number decade, dynamic range, threshold — saw
+        the same decision again; it never replaces the query),
         and items choosing the same algorithm execute together through
         :meth:`SimComm.reduce_batch`, so packing, schedule compilation and
         kernel dispatch are paid once per algorithm instead of once per
@@ -373,8 +371,9 @@ class AdaptiveReducer:
         item's input-dtype unit roundoff into the policy query (``None``
         means binary64 throughout)."""
         with Stopwatch() as sw_profile:
-            # uniform-width streams profile as one vectorised sweep; the
-            # batched sketches are bitwise-equal to the per-item loop
+            # one kernel call (or, on the NumPy fallback, one vectorised
+            # sweep for uniform widths), bitwise-equal to the per-item
+            # loop, which only ragged streams on the fallback still take
             sketches = profile_batch(batches)
             if sketches is None:
                 sketches = [self.profile(chunks) for chunks in batches]

@@ -14,28 +14,21 @@ with ``-ffp-contract=off`` so no FMA contraction can perturb a rounding),
 and the engine property tests pin them against the generic node-walk just
 like every other fast path.
 
-Availability is strictly optional.  The C source is compiled on first use
-with the system C compiler into a content-addressed cache under the user's
-temp directory; if no compiler is present, compilation fails, or
-``REPRO_NO_CKERNELS`` is set (any non-empty value), :func:`has_kernel`
-returns False and callers stay on the pure-NumPy path.  Nothing is ever
-downloaded or installed.
+Availability is strictly optional and decided by the shared loader
+(:mod:`repro.util.ckernel`): with no compiler, a failed compile, or
+``REPRO_NO_CKERNELS`` set, :func:`has_kernel` returns False and callers stay
+on the pure-NumPy path.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 from typing import Optional
 
 import numpy as np
 
 from repro.obs import get_registry
+from repro.util.ckernel import CKernel
 
 __all__ = [
     "has_kernel",
@@ -924,162 +917,52 @@ _REDUCE_FUNCTIONS = {
     "dd": "reduce_balanced_dd",
 }
 
-_lock = threading.Lock()
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-
 _OBS = get_registry()
 
+_SWEEP_ARGS = [
+    ctypes.POINTER(ctypes.c_double),
+    ctypes.POINTER(ctypes.c_int64),
+    ctypes.c_int64,
+    ctypes.c_int64,
+    ctypes.POINTER(ctypes.c_double),
+]
+_FOLD_ARGS = [
+    ctypes.POINTER(ctypes.c_void_p),  # per-row data pointers
+    ctypes.POINTER(ctypes.c_int64),
+    ctypes.c_int64,
+    ctypes.c_int64,
+    ctypes.POINTER(ctypes.c_double),
+    ctypes.POINTER(ctypes.c_double),
+]
+_REDUCE_ARGS = [
+    ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
+    ctypes.POINTER(ctypes.c_int64),
+    ctypes.c_int64,
+    ctypes.c_int64,
+    ctypes.c_int64,
+    ctypes.POINTER(ctypes.c_double),
+]
 
-def _record_compile_event(outcome: str) -> None:
-    """Count one kernel-load outcome (compiled / reused / gated / ...).
-
-    Load happens once per process, so enabling metrics *before* the first
-    kernel-using call is what captures the event; the counter exists so
-    a serving snapshot can state which fast-path tier the process runs on.
-    """
-    if _OBS.enabled:
-        _OBS.counter("repro_ckernels_compile_events_total", outcome=outcome).inc()
-
-
-def _count_stale_kernels(cache_dir: str, so_path: str) -> int:
-    """Cached kernels whose content digest no longer matches this build."""
-    try:
-        entries = sorted(os.listdir(cache_dir))
-    except OSError:
-        return 0
-    want = os.path.basename(so_path)
-    return sum(
-        1
-        for name in entries
-        if name.startswith("balanced-") and name.endswith(".so") and name != want
-    )
-
-
-def _compile_library() -> Optional[ctypes.CDLL]:
-    """Compile (or reuse) the kernel shared object; None on any failure."""
-    # Build gate only: disabling C kernels falls back to the Python fold the
-    # kernels are digest-verified bitwise-equal to.
-    # repro: allow[FP009] -- build gate, fallback is bitwise-equal
-    if os.environ.get("REPRO_NO_CKERNELS"):
-        _record_compile_event("gated")
-        return None
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None:
-        _record_compile_event("no_compiler")
-        return None
-    # -ffp-contract=off: no FMA contraction; every rounding in the source
-    # happens exactly as written, matching NumPy.  -O3/-march=native only
-    # widen the SIMD lanes of the elementwise level loops (identical
-    # per-element IEEE ops); sequential FP reductions are never reassociated
-    # without -ffast-math, so results stay bitwise.
-    flags = ["-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off"]
-    digest = hashlib.blake2b(
-        (_C_SOURCE + "\0" + " ".join(flags)).encode(), digest_size=16
-    ).hexdigest()
-    # Cache *location* only; the kernel loaded from any directory is the same
-    # digest-addressed, bitwise-verified object.
-    # repro: allow[FP009] -- cache path knob, kernel bytes digest-pinned
-    cache_dir = os.environ.get("REPRO_CKERNEL_CACHE") or os.path.join(
-        tempfile.gettempdir(), "repro-ckernels"
-    )
-    so_path = os.path.join(cache_dir, f"balanced-{digest}.so")
-    try:
-        if not os.path.exists(so_path):
-            # any cached kernels under other digests were built from a
-            # different source/flag set: record the mismatch so snapshots
-            # can explain a surprise recompile in a warmed environment
-            stale = _count_stale_kernels(cache_dir, so_path)
-            if stale and _OBS.enabled:
-                _OBS.counter("repro_ckernels_digest_mismatch_total").inc(stale)
-            outcome = "compiled"
-            os.makedirs(cache_dir, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache_dir) as td:
-                src = os.path.join(td, "kernels.c")
-                with open(src, "w") as f:
-                    f.write(_C_SOURCE)
-                tmp_so = os.path.join(td, "kernels.so")
-                try:
-                    subprocess.run(
-                        [cc, *flags, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                except subprocess.CalledProcessError:
-                    # some toolchains lack -march=native (e.g. cross cc)
-                    safe = [f for f in flags if f != "-march=native"]
-                    subprocess.run(
-                        [cc, *safe, src, "-o", tmp_so],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                os.replace(tmp_so, so_path)  # atomic within cache_dir
-        else:
-            outcome = "reused"
-        lib = ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError):
-        _record_compile_event("failed")
-        return None
-    _record_compile_event(outcome)
-    argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name in _FUNCTIONS:
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
-    fold_argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),  # per-row data pointers
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name, _ in _FOLD_FUNCTIONS.values():
-        fn = getattr(lib, name)
-        fn.argtypes = fold_argtypes
-        fn.restype = ctypes.c_int
-    reduce_argtypes = [
-        ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    for name in _REDUCE_FUNCTIONS.values():
-        fn = getattr(lib, name)
-        fn.argtypes = reduce_argtypes
-        fn.restype = ctypes.c_int
-    return lib
-
-
-def _get_lib() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted
-    if not _load_attempted:
-        with _lock:
-            if not _load_attempted:
-                _lib = _compile_library()
-                _load_attempted = True
-    return _lib
-
+_KERNEL = CKernel(
+    "balanced",
+    _C_SOURCE,
+    {
+        **{name: (_SWEEP_ARGS, ctypes.c_int) for name in _FUNCTIONS},
+        **{name: (_FOLD_ARGS, ctypes.c_int) for name, _ in _FOLD_FUNCTIONS.values()},
+        **{name: (_REDUCE_ARGS, ctypes.c_int) for name in _REDUCE_FUNCTIONS.values()},
+    },
+    metric="repro_ckernels_compile_events_total",
+)
 
 def kernels_available() -> bool:
     """True when the compiled kernels loaded (compiler present, not gated)."""
-    return _get_lib() is not None
+    return _KERNEL.available()
 
 
 def has_kernel(vops) -> bool:
     """True when ``vops`` advertises a compiled balanced sweep and it loads."""
     advertised = getattr(vops, "ckernel", None) is not None
-    available = advertised and _get_lib() is not None
+    available = advertised and _KERNEL.load() is not None
     if advertised and not available and _OBS.enabled:
         # the algebra *would* run compiled but can't: a NumPy fallback
         # activation (gated, no compiler, or compile/load failure)
@@ -1090,7 +973,7 @@ def has_kernel(vops) -> bool:
 def has_fold_kernel(vops) -> bool:
     """True when ``vops``'s algebra has a compiled rank-local fold."""
     advertised = getattr(vops, "ckernel", None) in _FOLD_FUNCTIONS
-    available = advertised and _get_lib() is not None
+    available = advertised and _KERNEL.load() is not None
     if advertised and not available and _OBS.enabled:
         _OBS.counter("repro_ckernels_fallback_total", kernel="fold").inc()
     return available
@@ -1099,7 +982,7 @@ def has_fold_kernel(vops) -> bool:
 def has_reduce_kernel(vops) -> bool:
     """True when ``vops``'s algebra has a compiled fused shard kernel."""
     advertised = getattr(vops, "ckernel", None) in _REDUCE_FUNCTIONS
-    available = advertised and _get_lib() is not None
+    available = advertised and _KERNEL.load() is not None
     if advertised and not available and _OBS.enabled:
         _OBS.counter("repro_ckernels_fallback_total", kernel="reduce").inc()
     return available
@@ -1110,7 +993,7 @@ _NULL_IDX = ctypes.POINTER(ctypes.c_int64)()
 
 def _call(name: str, data: np.ndarray, idx, n_rows: int, n: int,
           out: np.ndarray) -> None:
-    lib = _get_lib()
+    lib = _KERNEL.load()
     assert lib is not None, "compiled kernels not available"
     fn = getattr(lib, "balanced_sweep_" + name)
     data_p = data.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
@@ -1162,7 +1045,7 @@ def sweep_indexed(
 
 def _call_fold(vops, row_ptrs: np.ndarray, lengths: np.ndarray, max_len: int) -> tuple:
     """Shared fold-kernel dispatch: per-row pointers in, state tuple out."""
-    lib = _get_lib()
+    lib = _KERNEL.load()
     assert lib is not None, "compiled kernels not available"
     name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
     n_rows = int(lengths.size)
@@ -1255,7 +1138,7 @@ def reduce_balanced_chunks(
         raise ValueError("out must be a contiguous float64 vector of n_items")
     if n_items == 0:
         return out
-    lib = _get_lib()
+    lib = _KERNEL.load()
     assert lib is not None, "compiled kernels not available"
     lengths = np.array([a.size for a in arrays], dtype=np.int64)
     row_ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)

@@ -140,6 +140,33 @@ class TestCallGraph:
         assert _has_edge(graph, "pkg.lam:run", lambdas[0], "pool")
         assert lambdas[0] in graph.pool_targets
 
+    def test_module_level_instance_method_resolves(self, tmp_path):
+        graph = build_callgraph(
+            _write(
+                tmp_path,
+                {
+                    "pkg/__init__.py": "",
+                    "pkg/loader.py": (
+                        "class Loader:\n"
+                        "    def load(self):\n"
+                        "        return self._build()\n"
+                        "    def _build(self):\n"
+                        "        return 1\n"
+                    ),
+                    "pkg/user.py": (
+                        "from pkg.loader import Loader\n"
+                        "_KERNEL = Loader()\n"
+                        "def go():\n"
+                        "    return _KERNEL.load()\n"
+                    ),
+                },
+            )
+        )
+        assert _has_edge(graph, "pkg.user:go", "pkg.loader:Loader.load", "call")
+        assert _has_edge(
+            graph, "pkg.loader:Loader.load", "pkg.loader:Loader._build", "call"
+        )
+
     def test_reexport_through_package_init_resolves(self, tmp_path):
         graph = build_callgraph(
             _write(

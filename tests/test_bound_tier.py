@@ -248,6 +248,62 @@ class TestStatisticsPass:
         for st, chunks in zip(stream, batches):
             assert st == bound_stats_item(chunks, UNIT_ROUNDOFF)
 
+    def test_chunks_read_as_asarray_ravel(self):
+        """In-place reads (contiguous float64) and the normalising copy
+        (every other dtype, layout or container) see the same values."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4, 24))
+        variants = [
+            [x[0].astype(np.float32), x[1].astype(np.float16), x[2]],  # repro: allow[FP005] -- narrow chunks must be read as their float64 cast
+            [np.arange(30), x[3][::-1], x[0][::3]],
+            [np.asfortranarray(x[:3, :8]), x[1].astype(">f8"), [1.0, -2.5]],
+            (x[2], np.float64(3.0), np.array(-0.5)),
+        ]
+        for chunks in variants:
+            copies = [np.array(c, dtype=np.float64).ravel() for c in chunks]
+            want = bound_stats_item(copies, UNIT_ROUNDOFF)
+            assert bound_stats_item(chunks, UNIT_ROUNDOFF) == want
+            assert bound_stats_stream([chunks], [UNIT_ROUNDOFF]) == [want]
+
+    def test_fused_kernel_order(self):
+        """The fused kernel's documented order: eight lanes per chunk (the
+        tail folds into lane 0, lanes merge 0..7), max/min across ranks,
+        and ``np.sum`` over the per-rank partials."""
+        from repro.selection import _statskernel
+
+        if not _statskernel.kernel_available():
+            pytest.skip("fused statistics kernel unavailable")
+
+        def lanes(x):
+            s = [np.float64(0.0)] * 8
+            a = [np.float64(0.0)] * 8
+            nb = x.size - x.size % 8
+            for j in range(x.size):
+                k = j % 8 if j < nb else 0
+                s[k] = s[k] + x[j]
+                a[k] = a[k] + abs(x[j])
+            st, at = s[0], a[0]
+            for k in range(1, 8):
+                st, at = st + s[k], at + a[k]
+            return at, st
+
+        rng = np.random.default_rng(5)
+        for width in (0, 1, 7, 8, 9, 17, 40):
+            for ranks in (1, 3, 9):
+                chunks = [
+                    rng.uniform(-1, 1, width) * 10.0 ** rng.integers(-8, 9, width)
+                    for _ in range(ranks)
+                ]
+                got = bound_stats_item(chunks, UNIT_ROUNDOFF)
+                partials = np.array([lanes(c) for c in chunks]).reshape(ranks, 2)
+                assert got.abs_sum == np.sum(partials[:, 0])  # repro: allow[FP001,FP002] -- pins the kernel's exact summation order
+                assert got.approx_sum == np.sum(partials[:, 1])  # repro: allow[FP001,FP002] -- pins the kernel's exact summation order
+                mags = np.abs(np.concatenate(chunks))
+                assert got.max_abs == (mags.max() if mags.size else 0.0)  # repro: allow[FP001] -- exact max
+                assert got.min_abs_nonzero == np.min(  # repro: allow[FP001] -- exact min
+                    mags, initial=math.inf, where=mags > 0.0
+                )
+
     def test_stats_round_trip_through_stream_profile(self):
         stats = bound_stats_item(_chunks("wide", 1), 2.0**-24)
         again = BoundStats.from_stream_profile(stats.as_stream_profile(), 2.0**-24)

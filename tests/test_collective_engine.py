@@ -247,7 +247,12 @@ class TestBatchedProfiling:
                 else:
                     assert _bits_equal(a, b), field
 
-    def test_profile_batch_ragged_returns_none(self):
+    def test_profile_batch_ragged_returns_none(self, monkeypatch):
+        # only the NumPy fallback declines ragged streams; the C sketch
+        # kernel takes them (tests/test_sketch_kernel.py)
+        from repro.selection import profile as profile_mod
+
+        monkeypatch.setattr(profile_mod._KERNEL, "load", lambda: None)
         batches = [[np.arange(3.0), np.arange(5.0)]] * 2
         assert profile_batch(batches) is None
 

@@ -115,3 +115,38 @@ class TestIntervalLayer:
 
         with pytest.raises(ValueError):
             sum_interval_array(np.array([1.0, math.nan]))
+
+
+class TestSelectorSketchKernelParity:
+    """The selector's profiling sketch of non-finite input is the same
+    whether the fused C sketch kernel or the NumPy fallback computes it:
+    NaN wins ``max_abs`` as ``np.maximum`` lets it, in any rank position,
+    and the min-nonzero skips it."""
+
+    FIELDS = ("n", "max_abs", "min_abs_nonzero", "abs_sum_hi", "abs_sum_lo",
+              "sum_hi", "sum_lo")
+
+    @pytest.mark.parametrize("bad", NASTY)
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_sketch_same_with_kernel_on_and_off(self, bad, rank, monkeypatch):
+        from repro.selection import AdaptiveReducer
+        from repro.selection import profile as profile_mod
+
+        chunks = [
+            np.array([1.0, -2.0, 0.0]),
+            np.array([3.0, 2.0**-990]),
+            np.array([-0.5, 4.0, -0.0]),
+        ]
+        chunks[rank] = np.append(chunks[rank], bad)
+        reducer = AdaptiveReducer(SimComm(3))
+        with np.errstate(invalid="ignore", over="ignore"):
+            on = reducer.profile(chunks)
+            monkeypatch.setattr(profile_mod._KERNEL, "load", lambda: None)
+            off = reducer.profile(chunks)
+        for field in self.FIELDS:
+            a, b = getattr(on, field), getattr(off, field)
+            assert (math.isnan(a) and math.isnan(b)) or (
+                np.float64(a).tobytes() == np.float64(b).tobytes()
+            ), (field, a, b)
+        assert math.isnan(off.max_abs) == math.isnan(bad)
+        assert off.min_abs_nonzero == 2.0**-990

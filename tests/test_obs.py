@@ -23,6 +23,7 @@ from repro.mpi import SimComm
 from repro.obs import DEFAULT_LATENCY_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.cli import counter_total, main as metrics_cli, summarize
 from repro.selection import AdaptiveReducer
+from repro.selection import profile as profile_mod
 
 
 @pytest.fixture
@@ -419,9 +420,11 @@ class TestServingReconciliation:
         # engine dispatch totals == one dispatch per returned collective
         assert counter_total(snap, "repro_comm_dispatch_total") == len(results)
 
-        # the uniform-width stream rode the batched profiling path
+        # the stream rode one bulk profiling path: the C sketch kernel when
+        # it loaded, else the NumPy batched sweep (the widths are uniform)
+        path = "ckernel" if profile_mod._KERNEL.available() else "batched"
         assert (
-            _sample_value(snap, "repro_profile_items_total", path="batched")
+            _sample_value(snap, "repro_profile_items_total", path=path)
             == len(results)
         )
 
@@ -430,7 +433,10 @@ class TestServingReconciliation:
         assert counter_total(snap, "repro_selector_select_seconds") >= 1
         assert counter_total(snap, "repro_selector_reduce_seconds") >= 1
 
-    def test_ragged_stream_counts_fallback(self, global_obs):
+    def test_ragged_stream_counts_fallback(self, global_obs, monkeypatch):
+        # the NumPy fallback (no compiler / REPRO_NO_CKERNELS) is the only
+        # path on which a ragged stream leaves the bulk sweep
+        monkeypatch.setattr(profile_mod._KERNEL, "load", lambda: None)
         rng = np.random.default_rng(5)
         comm = SimComm(3)
         reducer = AdaptiveReducer(comm, threshold=1e-13)
@@ -445,6 +451,21 @@ class TestServingReconciliation:
             == 1
         )
         assert counter_total(snap, "repro_comm_dispatch_total") == 2
+
+    def test_ragged_stream_rides_kernel(self, global_obs):
+        if not profile_mod._KERNEL.available():
+            pytest.skip("C sketch kernel unavailable")
+        rng = np.random.default_rng(5)
+        reducer = AdaptiveReducer(SimComm(3), threshold=1e-13)
+        batches = [
+            [rng.random(16), rng.random(16), rng.random(16)],
+            [rng.random(8), rng.random(8), rng.random(8)],  # ragged width
+        ]
+        reducer.reduce_many(batches, tree="balanced")
+        snap = global_obs.snapshot()
+        assert _sample_value(snap, "repro_profile_batch_total", path="ckernel") == 1
+        assert _sample_value(snap, "repro_profile_items_total", path="ckernel") == 2
+        assert _sample_value(snap, "repro_profile_batch_total", path="ragged_fallback") is None
 
     def test_single_reduce_instruments_histograms(self, global_obs):
         comm = SimComm(4)
