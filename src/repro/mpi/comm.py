@@ -42,6 +42,7 @@ whole stream of same-shape reductions — the heavy-traffic serving path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -328,12 +329,20 @@ class SimComm:
             if tree.n_leaves != self.n_ranks:
                 raise ValueError("tree leaf count != communicator size")
             return tree
-        if tree == "balanced":
-            return balanced(self.n_ranks)
-        if tree == "serial":
-            return serial(self.n_ranks)
         if tree == "topology":
             if self.topology is not None:
                 return topology_aware_tree(self.topology)
-            return balanced(self.n_ranks)
+            tree = "balanced"
+        if tree in ("balanced", "serial"):
+            return _named_tree(tree, self.n_ranks)
         raise ValueError(f"unknown tree spec {tree!r}")
+
+
+@lru_cache(maxsize=64)
+def _named_tree(kind: str, n_ranks: int) -> ReductionTree:
+    """The shared ``balanced``/``serial`` tree of ``n_ranks`` leaves, built
+    once per process with a read-only schedule (every process builds the
+    same tree, so the memo changes only the work done, never a result)."""
+    tree = (balanced if kind == "balanced" else serial)(n_ranks)
+    tree.schedule.flags.writeable = False
+    return tree

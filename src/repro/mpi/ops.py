@@ -78,9 +78,9 @@ class ReductionOp:
     def local_states(self, chunks):
         """Vectorised rank-local phase straight from a chunk list.
 
-        Same contract as :meth:`local_matrix` but the compiled kernel reads
-        each chunk in place through a pointer table — the padded matrix is
-        never materialised.  The NumPy fallback packs first.
+        Same contract as :meth:`local_matrix` but the compiled kernel walks
+        the chunk list itself and reads each chunk in place — the padded
+        matrix is never materialised.  The NumPy fallback packs first.
         """
         vops = self._require_vector_ops()
         if _ckernels.has_fold_kernel(vops):

@@ -3,12 +3,13 @@
 The bound tier's cheap pass needs four statistics per reduction — ``Σ|x|``,
 ``Σx``, ``max|x|`` and ``min{|x| : x != 0}`` — which the NumPy fallback
 computes in five full-matrix sweeps (abs, max, min, two sums) over a packed
-copy of the stream.  This kernel does the whole stream in one call: it walks
-the stream's chunk lists itself, reads each chunk in place through the
-buffer protocol (no packing copy), and takes all four row statistics in one
-read with eight independent SIMD lanes per statistic.  The per-rank
-partials then merge as :func:`bound_stats_item` merges them: ``max``/``min``
-across ranks and NumPy's pairwise order (``np.sum``) for the two sums.
+copy of the stream.  This kernel does the whole stream in one call: the
+shared chunk walker (:data:`repro.util.ckernel.CHUNK_WALK_C`) reads each
+chunk in place through the buffer protocol (no packing copy), and the kernel
+takes all four row statistics in one read with eight independent SIMD lanes
+per statistic, with the GIL released.  The per-rank partials then merge as
+:func:`bound_stats_item` merges them: ``max``/``min`` across ranks and
+NumPy's pairwise order (``np.sum``) for the two sums.
 
 Unlike the balanced-sweep kernels in :mod:`repro.trees._ckernels`, this
 kernel is **not** bitwise-equal to its NumPy fallback and does not need to
@@ -34,7 +35,7 @@ import ctypes
 
 import numpy as np
 
-from repro.util.ckernel import PAIRWISE_SUM_C, CKernel
+from repro.util.ckernel import CHUNK_WALK_C, PAIRWISE_SUM_C, CKernel, call_walker
 
 __all__ = ["kernel_available", "stream_stats"]
 
@@ -43,30 +44,7 @@ __all__ = ["kernel_available", "stream_stats"]
 #: the lanes merge in a fixed order, so any element's leaf-to-root path sees
 #: at most ``width - 1`` roundings (the certified-statistics budget the tier
 #: already assumes).
-_C_SOURCE = PAIRWISE_SUM_C + r"""
-#include <stddef.h>
-#include <stdlib.h>
-
-/* The stable-ABI CPython calls the stream walker makes (see
- * repro.util.ckernel: declared here, resolved at load). */
-typedef struct _object PyObject;
-typedef ptrdiff_t Py_ssize_t;
-typedef struct {
-    void *buf;
-    PyObject *obj;
-    Py_ssize_t len, itemsize;
-    int readonly, ndim;
-    char *format;
-    Py_ssize_t *shape, *strides, *suboffsets;
-    void *internal;
-} Py_buffer;
-Py_ssize_t PyList_Size(PyObject *);
-PyObject *PyList_GetItem(PyObject *, Py_ssize_t);
-int PyObject_GetBuffer(PyObject *, Py_buffer *, int);
-void PyBuffer_Release(Py_buffer *);
-void PyErr_Clear(void);
-#define BUF_C_CONTIGUOUS_FORMAT (0x0038 | 0x0004)
-
+_C_SOURCE = CHUNK_WALK_C + PAIRWISE_SUM_C + r"""
 /* The eight lanes as LANES / VW vectors of VW doubles: 4-wide where AVX
  * is enabled, 2-wide (SSE2, NEON) elsewhere; the same bits either way. */
 #if defined(__AVX__)
@@ -135,53 +113,38 @@ static void row_stats(const double *restrict x, int64_t w, double out[4])
     out[3] = mnt;
 }
 
-/* items: a list of chunk lists.  Writes abs_sum, sum, max_abs,
- * min_abs_nonzero per item to out[4 i ..] and the element count to n[i].
- * Returns 1 when some chunk is not a C-contiguous native float64 buffer
- * (the caller normalises and retries), -1 when scratch allocation fails. */
+/* items: a list of chunk lists, read in place by the shared walker.
+ * Writes abs_sum, sum, max_abs, min_abs_nonzero per item to out[4 i ..]
+ * and the element count to n[i]. */
 int bound_stream_stats(PyObject *items, int64_t n_items, double *out,
                        int64_t *n)
 {
-    Py_ssize_t max_ranks = 0;
+    chunk_walk w;
+    int rc = walk_open(&w, items, 1, n_items);
+    if (rc)
+        return rc;
+    int64_t max_ranks = 0;
     for (int64_t i = 0; i < n_items; i++) {
-        Py_ssize_t r = PyList_Size(PyList_GetItem(items, i));
-        if (r < 0) {
-            PyErr_Clear();
-            return 1;
-        }
+        int64_t r = w.item[i + 1] - w.item[i];
         max_ranks = r > max_ranks ? r : max_ranks;
     }
     double *part = malloc((2 * (size_t)max_ranks + 1) * sizeof(double));
-    if (part == NULL)
-        return -1;
+    if (part == NULL) {
+        walk_close(&w);
+        return WALK_NOMEM;
+    }
+    void *ts = PyEval_SaveThread();
     for (int64_t i = 0; i < n_items; i++) {
-        PyObject *chunks = PyList_GetItem(items, i);
-        Py_ssize_t n_ranks = PyList_Size(chunks);
+        int64_t first = w.item[i], n_ranks = w.item[i + 1] - first;
         double mx = 0.0, mn = INFINITY, row[4];
         int64_t count = 0;
-        for (Py_ssize_t r = 0; r < n_ranks; r++) {
-            Py_buffer view;
-            if (PyObject_GetBuffer(PyList_GetItem(chunks, r), &view,
-                                   BUF_C_CONTIGUOUS_FORMAT) != 0) {
-                PyErr_Clear();
-                free(part);
-                return 1;
-            }
-            int f8 = view.itemsize == 8 && view.format != NULL &&
-                     view.format[0] == 'd' && view.format[1] == '\0';
-            int64_t w = (int64_t)(view.len / 8);
-            if (f8)
-                row_stats((const double *)view.buf, w, row);
-            PyBuffer_Release(&view);
-            if (!f8) {
-                free(part);
-                return 1;
-            }
+        for (int64_t r = 0; r < n_ranks; r++) {
+            row_stats(w.ptr[first + r], w.len[first + r], row);
             part[r] = row[0];
             part[max_ranks + r] = row[1];
             mx = row[2] > mx ? row[2] : mx;
             mn = row[3] < mn ? row[3] : mn;
-            count += w;
+            count += w.len[first + r];
         }
         out[4 * i] = pairwise_sum(part, n_ranks, 0);
         out[4 * i + 1] = pairwise_sum(part + max_ranks, n_ranks, 0);
@@ -189,7 +152,9 @@ int bound_stream_stats(PyObject *items, int64_t n_items, double *out,
         out[4 * i + 3] = mn;
         n[i] = count;
     }
+    PyEval_RestoreThread(ts);
     free(part);
+    walk_close(&w);
     return 0;
 }
 """
@@ -204,7 +169,6 @@ _KERNEL = CKernel(
         )
     },
     metric="repro_statskernel_compile_events_total",
-    python_api=True,
 )
 
 
@@ -227,17 +191,11 @@ def stream_stats(batches):
     lib = _KERNEL.load()
     if lib is None:
         return None
-    items = [chunks if type(chunks) is list else list(chunks) for chunks in batches]
-    out = np.empty((len(items), 4))
-    n = np.empty(len(items), dtype=np.int64)
-    args = (len(items), out.ctypes.data, n.ctypes.data)
-    rc = lib.bound_stream_stats(items, *args)
-    if rc > 0:
-        items = [
-            [np.asarray(c, dtype=np.float64).ravel() for c in chunks]
-            for chunks in items
-        ]
-        rc = lib.bound_stream_stats(items, *args)
-    if rc:
-        raise MemoryError("bound_stream_stats scratch allocation failed")
+    n_items = len(batches)
+    out = np.empty((n_items, 4))
+    n = np.empty(n_items, dtype=np.int64)
+    call_walker(
+        lib.bound_stream_stats, batches, n_items, out.ctypes.data, n.ctypes.data,
+        nested=True,
+    )
     return n, out

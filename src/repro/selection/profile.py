@@ -20,10 +20,11 @@ decade granularity selection needs (tests pin this).
 
 Execution: on the selector's paths (:func:`profile_batch` for streams,
 :func:`profile_stream` for one item) the sketch runs as one fused C kernel
-when the shared loader (:mod:`repro.util.ckernel`) has a compiler.  It reads
-each chunk once from a flat ``<f8`` buffer addressed by int64 chunk offsets,
-so ragged streams take the same path as uniform ones, and it replays the
-NumPy operations in their exact order: the |x| sum in NumPy's pairwise
+when the shared loader (:mod:`repro.util.ckernel`) has a compiler.  It walks
+the chunk lists itself through the shared chunk walker and reads each chunk
+once where it lies, with no packing copy, so ragged streams take the same
+path as uniform ones; the GIL is released while it computes.  It replays
+the NumPy operations in their exact order: the |x| sum in NumPy's pairwise
 order (eight accumulators up to 128 elements, then a split at ``n/2``
 rounded down to a multiple of 8), the TwoSum ladder of :func:`_cp_sum` with
 each level's error summed the same way, and the rank-merge chain of
@@ -41,7 +42,6 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.fp.eft import two_sum, two_sum_array
 from repro.fp.properties import exponent
 from repro.metrics.properties import SetProfile
 from repro.obs import get_registry
-from repro.util.ckernel import PAIRWISE_SUM_C, CKernel
+from repro.util.ckernel import CHUNK_WALK_C, PAIRWISE_SUM_C, CKernel, call_walker
 
 __all__ = [
     "StreamProfile",
@@ -278,9 +278,7 @@ def _numpy_batch(batches) -> "list[StreamProfile] | None":
 
 #: The fused sketch.  Each function replays one NumPy step operation for
 #: operation; the comments name the step.
-_C_SOURCE = PAIRWISE_SUM_C + r"""
-#include <stdlib.h>
-
+_C_SOURCE = CHUNK_WALK_C + PAIRWISE_SUM_C + r"""
 static inline double two_sum(double a, double b, double *err)
 {
     double s = a + b, bb = s - a;
@@ -379,28 +377,30 @@ static void chunk_sketch(const double *x, int64_t w, double *scratch,
     row[4] = lo;
 }
 
-/* Sketch every item of a flat <f8 buffer.  Chunk c is
- * data[chunk_off[c] .. chunk_off[c+1]); item i owns chunks
- * item_chunks[i] .. item_chunks[i+1].  Writes six doubles per item:
- * max_abs, min_abs_nonzero, abs_sum_hi, abs_sum_lo, sum_hi, sum_lo. */
-int profile_sketch(const double *data, const int64_t *chunk_off,
-                   const int64_t *item_chunks, int64_t n_items, double *out)
+/* Sketch every item of `items`, a list of chunk lists read in place by the
+ * shared walker.  Writes six doubles per item to out (max_abs,
+ * min_abs_nonzero, abs_sum_hi, abs_sum_lo, sum_hi, sum_lo) and its element
+ * count to n. */
+int profile_sketch(PyObject *items, int64_t n_items, double *out, int64_t *n)
 {
-    int64_t max_w = 0;
-    for (int64_t c = 0; c < item_chunks[n_items]; c++) {
-        int64_t w = chunk_off[c + 1] - chunk_off[c];
-        max_w = w > max_w ? w : max_w;
-    }
-    int64_t half = max_w / 2 + 1;
+    chunk_walk w;
+    int rc = walk_open(&w, items, 1, n_items);
+    if (rc)
+        return rc;
+    int64_t half = w.max_len / 2 + 1;
     double *scratch = malloc(3 * (size_t)half * sizeof(double));
-    if (scratch == NULL)
-        return -1;
+    if (scratch == NULL) {
+        walk_close(&w);
+        return WALK_NOMEM;
+    }
+    void *ts = PyEval_SaveThread();
     for (int64_t i = 0; i < n_items; i++) {
         double max_tot = 0.0, min_tot = INFINITY;
         double ah = 0.0, al = 0.0, sh = 0.0, sl = 0.0, err, row[5];
-        for (int64_t c = item_chunks[i]; c < item_chunks[i + 1]; c++) {
-            chunk_sketch(data + chunk_off[c], chunk_off[c + 1] - chunk_off[c],
-                         scratch, half, row);
+        int64_t count = 0;
+        for (int64_t c = w.item[i]; c < w.item[i + 1]; c++) {
+            chunk_sketch(w.ptr[c], w.len[c], scratch, half, row);
+            count += w.len[c];
             /* profile_chunk from a fresh sketch: two_sum(0.0, hi) */
             double c_sh = two_sum(0.0, row[3], &err);
             double c_sl = 0.0 + (err + row[4]);
@@ -419,8 +419,11 @@ int profile_sketch(const double *data, const int64_t *chunk_off,
         o[3] = al;
         o[4] = sh;
         o[5] = sl;
+        n[i] = count;
     }
+    PyEval_RestoreThread(ts);
     free(scratch);
+    walk_close(&w);
     return 0;
 }
 """
@@ -430,7 +433,7 @@ _KERNEL = CKernel(
     _C_SOURCE,
     {
         "profile_sketch": (
-            [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p],
+            [ctypes.py_object, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p],
             ctypes.c_int,
         )
     },
@@ -446,34 +449,20 @@ def kernel_available() -> bool:
 def _kernel_sketches(lib, batches) -> "list[StreamProfile]":
     """One :class:`StreamProfile` per item from one fused kernel call.
 
-    Every chunk is cast as ``np.asarray(c, float64).ravel()`` casts it while
-    it is packed into a single flat buffer, which also holds the int64
-    chunk offsets, the items' chunk ranges and the kernel's output.
+    The kernel walks the chunk lists itself and reads every chunk in place
+    (chunks that are not C-contiguous ``<f8`` are first cast as
+    ``np.asarray(c, float64).ravel()`` casts them).
     """
-    arrays = [
-        c if type(c) is np.ndarray else np.asarray(c, dtype=np.float64)
-        for chunks in batches
-        for c in chunks
-    ]
-    offsets = list(accumulate((a.size for a in arrays), initial=0))
-    bounds = list(accumulate(map(len, batches), initial=0))
-    n_items, n_values = len(batches), offsets[-1]
-    buf = np.empty(n_values + 6 * n_items + len(offsets) + len(bounds))
-    if arrays:
-        np.concatenate(arrays, axis=None, out=buf[:n_values], casting="unsafe")
-    index = buf[n_values + 6 * n_items :].view(np.int64)
-    index[: len(offsets)] = offsets
-    index[len(offsets) :] = bounds
+    n_items = len(batches)
+    buf = np.empty(7 * n_items)
     base = buf.ctypes.data
-    at = base + 8 * (n_values + 6 * n_items)
-    if lib.profile_sketch(base, at, at + 8 * len(offsets), n_items, base + 8 * n_values):
-        raise MemoryError("profile_sketch scratch allocation failed")
-    fields = buf[n_values : n_values + 6 * n_items].tolist()
+    call_walker(
+        lib.profile_sketch, batches, n_items, base, base + 48 * n_items, nested=True
+    )
+    fields = buf[: 6 * n_items].tolist()
+    counts = buf[6 * n_items :].view(np.int64).tolist()
     return [
-        StreamProfile(
-            offsets[bounds[i + 1]] - offsets[bounds[i]], *fields[6 * i : 6 * i + 6]
-        )
-        for i in range(n_items)
+        StreamProfile(counts[i], *fields[6 * i : 6 * i + 6]) for i in range(n_items)
     ]
 
 

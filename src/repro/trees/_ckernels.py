@@ -8,6 +8,11 @@ element.  A fused C kernel evaluates each tree's whole level schedule out of
 an L1-resident scratch buffer — including the leaf gather, so the permuted
 operand matrix is never materialised at all.
 
+The rank-local fold and fused shard kernels also have chunk-list entries
+(:func:`fold_chunks`, :func:`reduce_balanced_chunks`) that take the Python
+chunk list through the shared walker (:data:`repro.util.ckernel.CHUNK_WALK_C`)
+and read every chunk in place with the GIL released.
+
 The kernels are **bitwise-identical** to the NumPy level sweep: they apply
 the exact same IEEE-754 double operations in the exact same order (compiled
 with ``-ffp-contract=off`` so no FMA contraction can perturb a rounding),
@@ -28,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.obs import get_registry
-from repro.util.ckernel import CKernel
+from repro.util.ckernel import CHUNK_WALK_C, CKernel, call_walker
 
 __all__ = [
     "has_kernel",
@@ -47,10 +52,8 @@ __all__ = [
 #: base operand vector and row r's leaves are ``data[idx[r*n + j]]``.
 #: Every function mirrors the level loop of ``balanced_ensemble_vops``:
 #: pair adjacent nodes, carry an odd trailing node up unchanged.
-_C_SOURCE = r"""
+_C_SOURCE = CHUNK_WALK_C + r"""
 #include <math.h>
-#include <stdint.h>
-#include <stdlib.h>
 
 #define LEAF(j) (idx ? data[idx[(size_t)r * (size_t)n + (size_t)(j)]] \
                      : data[(size_t)r * (size_t)n + (size_t)(j)])
@@ -889,6 +892,54 @@ int reduce_balanced_dd(const double *const *restrict rows,
     free(buf); free(s);
     return 0;
 }
+
+/* -- chunk-list entries: the kernels above fed by the shared walker ---------
+ *
+ * ``algebra`` indexes FOLD / REDUCE in the order of ``_ALGEBRAS``.  The
+ * chunk views are held (GIL held) around a GIL-free kernel call. */
+
+typedef int (*fold_fn)(const double *const *restrict, const int64_t *restrict,
+                       int64_t, int64_t, double *restrict, double *restrict);
+typedef int (*reduce_fn)(const double *const *restrict,
+                         const int64_t *restrict, int64_t, int64_t, int64_t,
+                         double *restrict);
+static const fold_fn FOLD[] = {fold_st, fold_kahan, fold_kbn, fold_cp, fold_dd};
+static const reduce_fn REDUCE[] = {reduce_balanced_st, reduce_balanced_kahan,
+                                   reduce_balanced_kbn, reduce_balanced_cp,
+                                   reduce_balanced_dd};
+
+/* chunks: a list of n_rows chunks; out: 2 * n_rows state components */
+int fold_walk(PyObject *chunks, int algebra, int64_t n_rows, double *out)
+{
+    chunk_walk w;
+    int rc = walk_open(&w, chunks, 0, n_rows);
+    if (rc)
+        return rc;
+    void *ts = PyEval_SaveThread();
+    if (FOLD[algebra]((const double *const *)w.ptr, w.len, n_rows, w.max_len,
+                      out, out + n_rows))
+        rc = WALK_NOMEM;
+    PyEval_RestoreThread(ts);
+    walk_close(&w);
+    return rc;
+}
+
+/* chunks: an item-major list of n_items * n_ranks chunks */
+int reduce_balanced_walk(PyObject *chunks, int algebra, int64_t n_items,
+                         int64_t n_ranks, double *out)
+{
+    chunk_walk w;
+    int rc = walk_open(&w, chunks, 0, n_items * n_ranks);
+    if (rc)
+        return rc;
+    void *ts = PyEval_SaveThread();
+    if (REDUCE[algebra]((const double *const *)w.ptr, w.len, n_items, n_ranks,
+                        w.max_len, out))
+        rc = WALK_NOMEM;
+    PyEval_RestoreThread(ts);
+    walk_close(&w);
+    return rc;
+}
 """
 
 _FUNCTIONS = (
@@ -899,23 +950,17 @@ _FUNCTIONS = (
     "balanced_sweep_dd",
 )
 
-#: per-algebra rank-local fold kernels; component count mirrors the VectorOps
-_FOLD_FUNCTIONS = {
-    "st": ("fold_st", 1),
-    "kahan": ("fold_kahan", 2),
-    "kbn": ("fold_kbn", 2),
-    "cp": ("fold_cp", 2),
-    "dd": ("fold_dd", 2),
+#: the algebras with compiled fold and fused shard kernels, in the order of
+#: the C ``FOLD``/``REDUCE`` tables; each maps to its state component count
+#: (mirroring the VectorOps) and its array-pointer fold export
+_ALGEBRAS = {
+    "st": (1, "fold_st"),
+    "kahan": (2, "fold_kahan"),
+    "kbn": (2, "fold_kbn"),
+    "cp": (2, "fold_cp"),
+    "dd": (2, "fold_dd"),
 }
-
-#: per-algebra fused shard kernels: fold + balanced rank tree + result
-_REDUCE_FUNCTIONS = {
-    "st": "reduce_balanced_st",
-    "kahan": "reduce_balanced_kahan",
-    "kbn": "reduce_balanced_kbn",
-    "cp": "reduce_balanced_cp",
-    "dd": "reduce_balanced_dd",
-}
+_ALGEBRA_INDEX = {name: i for i, name in enumerate(_ALGEBRAS)}
 
 _OBS = get_registry()
 
@@ -934,22 +979,22 @@ _FOLD_ARGS = [
     ctypes.POINTER(ctypes.c_double),
     ctypes.POINTER(ctypes.c_double),
 ]
-_REDUCE_ARGS = [
-    ctypes.POINTER(ctypes.c_void_p),  # item-major per-chunk pointers
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.c_int64,
-    ctypes.c_int64,
-    ctypes.c_int64,
-    ctypes.POINTER(ctypes.c_double),
-]
 
 _KERNEL = CKernel(
     "balanced",
     _C_SOURCE,
     {
         **{name: (_SWEEP_ARGS, ctypes.c_int) for name in _FUNCTIONS},
-        **{name: (_FOLD_ARGS, ctypes.c_int) for name, _ in _FOLD_FUNCTIONS.values()},
-        **{name: (_REDUCE_ARGS, ctypes.c_int) for name in _REDUCE_FUNCTIONS.values()},
+        **{name: (_FOLD_ARGS, ctypes.c_int) for _, name in _ALGEBRAS.values()},
+        "fold_walk": (
+            [ctypes.py_object, ctypes.c_int, ctypes.c_int64, ctypes.c_void_p],
+            ctypes.c_int,
+        ),
+        "reduce_balanced_walk": (
+            [ctypes.py_object, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+             ctypes.c_void_p],
+            ctypes.c_int,
+        ),
     },
     metric="repro_ckernels_compile_events_total",
 )
@@ -972,7 +1017,7 @@ def has_kernel(vops) -> bool:
 
 def has_fold_kernel(vops) -> bool:
     """True when ``vops``'s algebra has a compiled rank-local fold."""
-    advertised = getattr(vops, "ckernel", None) in _FOLD_FUNCTIONS
+    advertised = getattr(vops, "ckernel", None) in _ALGEBRAS
     available = advertised and _KERNEL.load() is not None
     if advertised and not available and _OBS.enabled:
         _OBS.counter("repro_ckernels_fallback_total", kernel="fold").inc()
@@ -981,7 +1026,7 @@ def has_fold_kernel(vops) -> bool:
 
 def has_reduce_kernel(vops) -> bool:
     """True when ``vops``'s algebra has a compiled fused shard kernel."""
-    advertised = getattr(vops, "ckernel", None) in _REDUCE_FUNCTIONS
+    advertised = getattr(vops, "ckernel", None) in _ALGEBRAS
     available = advertised and _KERNEL.load() is not None
     if advertised and not available and _OBS.enabled:
         _OBS.counter("repro_ckernels_fallback_total", kernel="reduce").inc()
@@ -1047,7 +1092,7 @@ def _call_fold(vops, row_ptrs: np.ndarray, lengths: np.ndarray, max_len: int) ->
     """Shared fold-kernel dispatch: per-row pointers in, state tuple out."""
     lib = _KERNEL.load()
     assert lib is not None, "compiled kernels not available"
-    name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
+    n_components, name = _ALGEBRAS[vops.ckernel]
     n_rows = int(lengths.size)
     out0 = np.empty(n_rows, dtype=np.float64)
     out1 = np.empty(n_rows, dtype=np.float64) if n_components == 2 else out0
@@ -1082,27 +1127,25 @@ def fold_matrix(matrix: np.ndarray, lengths: np.ndarray, vops) -> tuple:
 
 
 def fold_chunks(chunks, vops) -> tuple:
-    """Rank-local states straight from a list of 1-D chunks — no packing.
+    """Rank-local states straight from a list of chunks — no packing.
 
     Zero-copy counterpart of ``pack_ragged`` + :func:`fold_matrix`: the
-    kernel reads each chunk in place through a per-row pointer table, so
-    ragged chunk lists cost no padded-matrix materialisation at all.
+    kernel walks the list itself and reads each chunk in place, so ragged
+    chunk lists cost no padded-matrix materialisation at all.  Chunks of
+    any shape and dtype are read as ``np.asarray(c, float64).ravel()``.
     Requires ``has_fold_kernel(vops)``.
     """
-    arrays = [
-        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel())
-        for c in chunks
-    ]
-    n_rows = len(arrays)
-    if n_rows == 0:
-        name, n_components = _FOLD_FUNCTIONS[vops.ckernel]
-        empty = np.empty(0, dtype=np.float64)
-        return (empty,) * n_components
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    row_ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
-    states = _call_fold(vops, row_ptrs, lengths, int(lengths.max()))
-    del arrays  # keep the chunk buffers alive through the kernel call
-    return states
+    n_components = _ALGEBRAS[vops.ckernel][0]
+    n_rows = len(chunks)
+    out = np.empty((2, n_rows), dtype=np.float64)
+    if n_rows:
+        lib = _KERNEL.load()
+        assert lib is not None, "compiled kernels not available"
+        call_walker(
+            lib.fold_walk, chunks, _ALGEBRA_INDEX[vops.ckernel], n_rows,
+            out.ctypes.data,
+        )
+    return tuple(out[:n_components])
 
 
 def reduce_balanced_chunks(
@@ -1111,11 +1154,12 @@ def reduce_balanced_chunks(
     """Balanced rank-tree values of whole items in one fused kernel call.
 
     ``chunks`` is an item-major flat list: ``n_items`` consecutive groups of
-    ``n_ranks`` 1-D chunks each (item ``i``'s rank ``r`` chunk at index
-    ``i * n_ranks + r``).  Each item folds its rank chunks to accumulator
-    states and collapses them through the balanced reduction tree inside the
-    kernel, so a worker serves its whole contiguous shard in one ``ctypes``
-    call.  Bitwise-equal to :func:`fold_chunks` +
+    ``n_ranks`` chunks each (item ``i``'s rank ``r`` chunk at index
+    ``i * n_ranks + r``), read in place as :func:`fold_chunks` reads them.
+    Each item folds its rank chunks to accumulator states and collapses
+    them through the balanced reduction tree inside the kernel, so a worker
+    serves its whole contiguous shard in one ``ctypes`` call.
+    Bitwise-equal to :func:`fold_chunks` +
     ``compile_tree(balanced(n_ranks)).reduce_states`` + ``vops.result``;
     requires ``has_reduce_kernel(vops)``.  ``out`` (when given) must be a
     contiguous float64 vector of ``n_items`` — e.g. a result-arena view, so
@@ -1123,15 +1167,11 @@ def reduce_balanced_chunks(
     """
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    arrays = [
-        np.ascontiguousarray(np.asarray(c, dtype=np.float64).ravel())
-        for c in chunks
-    ]
-    if len(arrays) % n_ranks:
+    n_items, rem = divmod(len(chunks), n_ranks)
+    if rem:
         raise ValueError(
-            f"chunk count {len(arrays)} is not a multiple of n_ranks {n_ranks}"
+            f"chunk count {len(chunks)} is not a multiple of n_ranks {n_ranks}"
         )
-    n_items = len(arrays) // n_ranks
     if out is None:
         out = np.empty(n_items, dtype=np.float64)
     elif out.dtype != np.float64 or not out.flags.c_contiguous or out.size != n_items:
@@ -1140,18 +1180,8 @@ def reduce_balanced_chunks(
         return out
     lib = _KERNEL.load()
     assert lib is not None, "compiled kernels not available"
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    row_ptrs = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
-    fn = getattr(lib, _REDUCE_FUNCTIONS[vops.ckernel])
-    status = fn(
-        row_ptrs.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-        lengths.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        n_items,
-        n_ranks,
-        int(lengths.max()),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+    call_walker(
+        lib.reduce_balanced_walk, chunks, _ALGEBRA_INDEX[vops.ckernel], n_items,
+        n_ranks, out.ctypes.data,
     )
-    if status != 0:  # pragma: no cover - allocation failure
-        raise MemoryError("reduce_balanced scratch allocation failed")
-    del arrays  # keep the chunk buffers alive through the kernel call
     return out

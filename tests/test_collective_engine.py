@@ -13,6 +13,8 @@ serving layer (``AdaptiveReducer.reduce_many`` + the batched profiler).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,23 @@ class TestEngineSelection:
     def test_supports_vector_flags(self):
         assert make_reduction_op(get_algorithm("K")).supports_vector
         assert not make_reduction_op(get_algorithm("PR")).supports_vector
+
+
+class TestNamedTrees:
+    def test_named_trees_are_shared_and_read_only(self):
+        """``"balanced"``/``"serial"`` (and ``"topology"`` without a
+        topology) resolve to one shared tree per size, whose schedule
+        cannot be edited through any result that carries it."""
+        a, b = SimComm(48), SimComm(48)
+        size = len(pickle.dumps(a))
+        tree = a._resolve_tree("topology")
+        assert tree is b._resolve_tree("balanced")
+        assert a._resolve_tree("serial") is b._resolve_tree("serial")
+        assert not tree.schedule.flags.writeable
+        assert np.array_equal(tree.schedule, balanced(48).schedule)
+        # the memo is process state, not communicator state: the pool
+        # payload that pickles the communicator does not grow
+        assert len(pickle.dumps(a)) == size
 
 
 class TestReduceBatch:
