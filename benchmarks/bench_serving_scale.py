@@ -1,10 +1,11 @@
 """Perf trajectory: multicore serving engine throughput vs worker count.
 
-The acceptance bar for the persistent-pool serving engine is quantitative:
-on a >= 4-core machine, the large-batch serving cases (``reduce_many`` and
-``evaluate_ensemble``) must clear >= 2x throughput at 4 workers vs the
-serial path, and the persistent pool must eliminate the per-call executor
-startup cost that a naive ``ProcessPoolExecutor``-per-request design pays.
+The acceptance bar for the multicore serving engine is quantitative: on a
+>= 4-core machine, the large-batch serving cases (``reduce_many`` on shard
+threads and ``evaluate_ensemble`` on the persistent process pool) must clear
+>= 2x throughput at 4 workers vs the serial path, and the persistent pool
+must eliminate the per-call executor startup cost that a naive
+``ProcessPoolExecutor``-per-request design pays.
 This bench sweeps workers in {1, 2, 4, cpu_count - 1}, measures both, and
 writes ``BENCH_serving_scale.json`` at the repo root so future PRs extend
 the trajectory instead of re-arguing it.
@@ -14,7 +15,7 @@ Methodology
 * Every parallel result is asserted bitwise-equal to the serial path
   **before** any timing (the engine's contract: sharding must not perturb
   the numerics).
-* The pool for each worker count is warmed with one untimed run first, so
+* Each worker count is warmed with one untimed run first, so
   the sweep measures steady-state serving throughput, not one-off process
   spin-up; the spin-up cost itself is measured separately by the
   ``pool_startup`` case (cold executor-per-call vs warm persistent pool).

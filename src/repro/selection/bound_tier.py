@@ -110,7 +110,7 @@ class BoundStats:
 
     def as_stream_profile(self) -> StreamProfile:
         """The stats as a (lo-parts-zero) sketch: what the reduce stage and
-        the shared-memory result arena consume for fast-path items."""
+        the PR pre-pass consume for fast-path items."""
         return StreamProfile(
             n=self.n,
             max_abs=self.max_abs,
@@ -119,18 +119,6 @@ class BoundStats:
             abs_sum_lo=0.0,
             sum_hi=self.approx_sum,
             sum_lo=0.0,
-        )
-
-    @staticmethod
-    def from_stream_profile(sketch: StreamProfile, u: float) -> "BoundStats":
-        """Inverse of :meth:`as_stream_profile` (the arena replay path)."""
-        return BoundStats(
-            n=sketch.n,
-            max_abs=sketch.max_abs,
-            min_abs_nonzero=sketch.min_abs_nonzero,
-            abs_sum=sketch.abs_sum_hi,
-            approx_sum=sketch.sum_hi,
-            u=u,
         )
 
 
@@ -187,31 +175,6 @@ def bound_stats_item(chunks, u: float) -> BoundStats:
     )
 
 
-#: reused pack/abs scratch buffers of the NumPy fallback sweep, keyed by
-#: (rows, width): a steady-state serving process sees the same stream shape
-#: every call, and reallocating two multi-MB temporaries per call costs more
-#: in page faults than the whole statistics computation (same
-#: persistent-buffer idiom as the dispatch arenas in repro.util.pool)
-_SCRATCH: "dict[tuple[int, int], tuple]" = {}
-_SCRATCH_SHAPES_MAX = 4
-
-
-def _pack_scratch(rows: int, width: int):
-    key = (rows, width)
-    bufs = _SCRATCH.get(key)
-    if bufs is None:
-        if len(_SCRATCH) >= _SCRATCH_SHAPES_MAX:
-            # Pure scratch: every buffer is fully overwritten before each
-            # read, so per-worker copies can only differ in which shapes
-            # they have cached, never in any computed value.
-            # repro: allow[FP010] -- scratch cache, buffers overwritten before every read
-            _SCRATCH.clear()
-        flat = np.empty(rows * width, dtype=np.float64)
-        bufs = (flat, flat.reshape(rows, width), np.empty((rows, width)))
-        _SCRATCH[key] = bufs  # repro: allow[FP010] -- scratch cache, see above
-    return bufs
-
-
 def bound_stats_stream(
     batches, us: Sequence[float]
 ) -> "list[BoundStats]":
@@ -220,9 +183,10 @@ def bound_stats_stream(
     With the fused kernel loaded the stream, ragged or not, is one kernel
     call that reads every chunk once in place.  On the NumPy fallback,
     uniform-width streams (the serving-path common case) pack into one
-    reused matrix: ~5 NumPy passes replace the profiling sketch's ~50 (the
-    composite-precision ladder); ragged streams take the bitwise-identical
-    per-item loop.
+    matrix allocated per call, so concurrent callers (``reduce_many``'s
+    shard threads) share no buffer: ~5 NumPy passes replace the profiling
+    sketch's ~50 (the composite-precision ladder); ragged streams take the
+    bitwise-identical per-item loop.
     """
     n_items = len(batches)
     if n_items == 0:
@@ -254,7 +218,8 @@ def bound_stats_stream(
     if not bool((sizes == width).all()):
         return [bound_stats_item(chunks, u) for chunks, u in zip(batches, us)]
     if width:
-        flat, matrix, absbuf = _pack_scratch(rows, width)
+        flat = np.empty(rows * width, dtype=np.float64)
+        matrix = flat.reshape(rows, width)
         try:
             np.concatenate(chunk_list, out=flat)
         except (TypeError, ValueError):
@@ -264,20 +229,22 @@ def bound_stats_stream(
                 [np.asarray(c, dtype=np.float64).ravel() for c in chunk_list],
                 out=flat,
             )
-        np.abs(matrix, out=absbuf)
-        row_max = absbuf.max(axis=1)
+        row_sum = np.sum(matrix, axis=1)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
+        # the packed copy is this call's own: take |x| in place (one
+        # allocation per call)
+        np.abs(matrix, out=matrix)
+        row_max = matrix.max(axis=1)
         # min-nonzero: the plain row min is right wherever no zero occurs
         # (the serving-path common case); only zero-containing rows pay the
         # slower where-masked reduction
-        row_min = absbuf.min(axis=1)
+        row_min = matrix.min(axis=1)
         zero_rows = np.nonzero(row_min == 0.0)[0]  # repro: allow[FP001] -- exact sentinel: a zero row-min means the row contains a literal 0.0
         if zero_rows.size:
-            sub = absbuf[zero_rows]
+            sub = matrix[zero_rows]
             row_min[zero_rows] = np.min(
                 sub, axis=1, initial=math.inf, where=(sub > 0.0)
             )
-        row_abs = np.sum(absbuf, axis=1)  # repro: allow[FP002] -- cheap-statistics pass; its rounding error is certified by the tier before any use
-        row_sum = np.sum(matrix, axis=1)  # repro: allow[FP002] -- same certified cheap-statistics pass
+        row_abs = np.sum(matrix, axis=1)  # repro: allow[FP002] -- same certified cheap-statistics pass
     else:
         row_max = np.zeros(rows, dtype=np.float64)
         row_min = np.full(rows, math.inf)
@@ -313,8 +280,8 @@ class BoundTier:
     ``1.0`` (default) certifies only against the deterministic worst case;
     ``0.999999`` allows the ``sqrt(n)``-scaled probabilistic forms, which
     is what certifies large well-conditioned reductions at serving-grade
-    thresholds.  Frozen and picklable — the shard workers carry it into the
-    pool and the parent replays it for the bitwise-identity audit.
+    thresholds.  Frozen, so ``reduce_many``'s shard threads share one
+    instance.
     """
 
     confidence: float = 1.0

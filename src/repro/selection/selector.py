@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -46,10 +46,8 @@ from repro.fp.properties import UNIT_ROUNDOFF
 from repro.metrics.properties import SetProfile
 from repro.mpi.comm import ReduceResult, SimComm
 from repro.mpi.ops import make_reduction_op
-from repro.mpi.topology import tree_cost
 from repro.obs import get_registry
 from repro.selection.bound_tier import (
-    BoundStats,
     BoundTier,
     bound_stats_item,
     bound_stats_stream,
@@ -58,10 +56,10 @@ from repro.selection.bound_tier import (
 from repro.selection.policy import AnalyticPolicy, SelectionDecision
 from repro.selection.profile import StreamProfile, profile_batch, profile_stream
 from repro.summation.base import SumContext
-from repro.summation.registry import all_algorithms, get_algorithm
+from repro.summation.registry import get_algorithm
 from repro.trees.tree import ReductionTree
 from repro.util.chunking import split_indices
-from repro.util.pool import arena_pair, arena_view, get_pool, shard_plan
+from repro.util.pool import run_sharded, shard_plan
 from repro.util.timing import Stopwatch
 
 __all__ = ["Policy", "AdaptiveResult", "AdaptiveReducer"]
@@ -284,49 +282,53 @@ class AdaptiveReducer:
         item.  Context-needing algorithms (PR) keep their per-item pre-pass.
 
         ``workers`` adds the multicore axis: the item stream splits into
-        contiguous shards, each shard runs the full profile → select →
-        grouped-reduce pipeline in a persistent worker process (operands
-        ship zero-copy through shared memory), and the reassembled results
-        are *bitwise-identical* to the serial path — every item's reduction
-        is independent, so sharding cannot change any value or decision.
-        ``workers=None`` defers to ``REPRO_WORKERS``/cpu-count behind an
-        adaptive bytes-and-items cutover (small batches never pay IPC);
-        an explicit ``workers >= 2`` always parallelises; ``workers<=1``
-        forces the serial path.  Workers write values, decision codes and
-        profile sketches straight into a persistent shared-memory result
-        arena; the parent replays selection from those sketches in stream
-        order, so :meth:`decision_cache_info` reflects parallel calls too
-        and any worker/parent decision drift raises instead of passing
-        silently.
+        contiguous shards and each shard runs the same (bound →) profile →
+        select → grouped-reduce pipeline on this reducer, on its own thread
+        (:func:`repro.util.pool.run_sharded`; the calling thread takes the
+        first shard).  The serving kernels release the GIL while they
+        compute, so the shards overlap with no operand copy.  Every item's
+        reduction is independent, so the results, concatenated in stream
+        order, are *bitwise-identical* to the serial path's — values,
+        decision codes and tiers.  ``workers=None`` defers to
+        ``REPRO_WORKERS``/cpu-count behind an adaptive bytes-and-items
+        cutover (:func:`repro.util.pool.shard_plan`); an explicit
+        ``workers >= 2`` always shards; ``workers<=1`` forces the serial
+        path.  Shards feed this reducer's decision cache directly, and the
+        selector metrics are observed once per call.
 
         Each item's value is bitwise-equal to a standalone :meth:`reduce`
         with the same decision; ``profile_seconds``/``reduce_seconds`` are
-        the *amortised* per-item costs (phase total / number of items).
+        the *amortised* per-item costs (phase total over all shards / number
+        of items).
         """
         t = self.threshold if threshold is None else threshold
         if t < 0:
             raise ValueError("threshold must be >= 0")
         if not batches:
             return []
+        n_items = len(batches)
         us = [item_unit_roundoff(chunks) for chunks in batches]
-        pool_workers, n_shards = shard_plan(
-            len(batches), _payload_bytes(batches), workers
-        )
+        _, n_shards = shard_plan(n_items, _payload_bytes(batches), workers)
         if n_shards > 1:
-            return self._reduce_many_parallel(
-                batches, t, tree, pool_workers, n_shards, us
+            parts = run_sharded(
+                self._reduce_shard,
+                [
+                    (batches[span], t, tree, us[span])
+                    for span in split_indices(n_items, n_shards)
+                ],
             )
-        sketches, decisions, bound_elapsed, profile_elapsed, select_elapsed = (
-            self._tiered_sketch_and_select(batches, t, us)
-        )
-        results, groups, reduce_elapsed = self._grouped_reduce(
-            batches, sketches, decisions, tree
+        else:
+            parts = [self._reduce_shard(batches, t, tree, us)]
+        results = [rr for part in parts for rr in part[0]]
+        decisions = [d for part in parts for d in part[1]]
+        bound_elapsed, profile_elapsed, select_elapsed, reduce_elapsed = (
+            math.fsum(part[2][phase] for part in parts) for phase in range(4)
         )
         if _OBS.enabled:
-            for code, indices in groups.items():
+            for code, count in Counter(d.code for d in decisions).items():
                 _OBS.counter(
                     "repro_selector_selections_total", algorithm=code
-                ).inc(len(indices))
+                ).inc(count)
             if self._engaged_bound_tier() is not None:
                 n_fast = sum(1 for d in decisions if d.tier == "bound")
                 _OBS.counter("repro_select_bound_fast_path_total").inc(n_fast)
@@ -345,7 +347,6 @@ class AdaptiveReducer:
             _OBS.histogram("repro_selector_reduce_seconds").observe(
                 reduce_elapsed
             )
-        n_items = len(batches)
         profile_each = (bound_elapsed + profile_elapsed) / n_items
         reduce_each = reduce_elapsed / n_items
         return [
@@ -359,6 +360,25 @@ class AdaptiveReducer:
             for rr, decision in zip(results, decisions)
         ]
 
+    def _reduce_shard(
+        self,
+        batches: Sequence[Sequence[np.ndarray]],
+        threshold: float,
+        tree: "ReductionTree | str",
+        us: Sequence[float],
+    ) -> tuple:
+        """The whole pipeline for one contiguous run of items:
+        ``(ReduceResults, decisions, (bound, profile, select, reduce)
+        elapsed)``.  The serial path is one shard."""
+        sketches, decisions, bound_elapsed, profile_elapsed, select_elapsed = (
+            self._tiered_sketch_and_select(batches, threshold, us)
+        )
+        results, reduce_elapsed = self._grouped_reduce(
+            batches, sketches, decisions, tree
+        )
+        timings = (bound_elapsed, profile_elapsed, select_elapsed, reduce_elapsed)
+        return results, decisions, timings
+
     def _sketch_and_select(
         self,
         batches: Sequence[Sequence[np.ndarray]],
@@ -366,10 +386,9 @@ class AdaptiveReducer:
         us: "Sequence[float] | None" = None,
     ) -> tuple:
         """Steps 1+2 for a stream: ``(sketches, decisions, profile elapsed,
-        select elapsed)``.  Shared by the serial serving path and the shard
-        workers so both run the exact same pipeline.  ``us`` carries each
-        item's input-dtype unit roundoff into the policy query (``None``
-        means binary64 throughout)."""
+        select elapsed)``.  ``us`` carries each item's input-dtype unit
+        roundoff into the policy query (``None`` means binary64
+        throughout)."""
         with Stopwatch() as sw_profile:
             # one kernel call (or, on the NumPy fallback, one vectorised
             # sweep for uniform widths), bitwise-equal to the per-item
@@ -444,8 +463,8 @@ class AdaptiveReducer:
     ) -> tuple:
         """Step 3 for a stream: same-decision items execute together.
 
-        Returns ``(per-item ReduceResults, {code: indices}, elapsed)``.
-        Context-needing algorithms (PR) keep their per-item pre-pass.
+        Returns ``(per-item ReduceResults, elapsed)``.  Context-needing
+        algorithms (PR) keep their per-item pre-pass.
         """
         groups: "dict[str, list[int]]" = {}
         for i, decision in enumerate(decisions):
@@ -468,205 +487,7 @@ class AdaptiveReducer:
                     )
                     for i, rr in zip(indices, group_results):
                         results[i] = rr
-        return results, groups, sw_reduce.elapsed
-
-    def _reduce_many_parallel(
-        self,
-        batches: Sequence[Sequence[np.ndarray]],
-        threshold: float,
-        tree: "ReductionTree | str",
-        pool_workers: int,
-        n_shards: int,
-        us: Sequence[float],
-    ) -> "list[AdaptiveResult]":
-        """Shard the stream over the persistent pool (bitwise = serial path).
-
-        Operands pack once into the persistent **input arena** (lengths,
-        per-item rank counts, per-item unit roundoffs, then every chunk's
-        float64 bytes); workers slice zero-copy views out of their cached
-        attachment and run the same :meth:`_tiered_sketch_and_select` +
-        :meth:`_grouped_reduce` pipeline the serial path uses.  Results come
-        back through the **result arena** — value, decision-code index,
-        bound-tier flag, the 7 profile-sketch fields per item plus three
-        phase timings per shard — so the pickle pipe only carries ``None``.
-        The parent rebuilds each :class:`StreamProfile` from the arena and
-        replays the selection in stream order — bound-tier items re-run
-        :meth:`BoundTier.decide_stream` on their round-tripped statistics,
-        profiling items replay :meth:`_select_cached` — so the decision
-        sequence (and the parent's cache statistics) are exactly what a
-        serial run would produce, and a mismatch against the
-        worker-recorded code raises instead of passing silently.  Chunks are
-        normalised with the same ``np.asarray(..., float64)`` coercion the
-        serial pipeline applies, so worker inputs are bit-identical to what
-        the serial path would profile and reduce.
-        """
-        flats: "list[np.ndarray]" = []
-        lengths: "list[int]" = []
-        ranks: "list[int]" = []
-        for chunks in batches:
-            ranks.append(len(chunks))
-            for c in chunks:
-                # normalise without materialising: asarray of an f8 chunk —
-                # including a memoryview-backed slice of a socket receive
-                # buffer — is a view, and write_concat below is the single
-                # copy (straight into the shared input arena).  The old
-                # ascontiguousarray staging copy doubled every ingest.
-                a = np.asarray(c, dtype=np.float64)
-                if a.ndim != 1:
-                    a = a.ravel()
-                flats.append(a)
-                lengths.append(a.size)
-        n_items = len(batches)
-        n_chunks = len(flats)
-        total = int(sum(lengths))  # repro: allow[FP002] -- integer chunk-length count, not an FP reduction
-        shards = split_indices(n_items, n_shards)
-        pool = get_pool(pool_workers)
-        code_table = tuple(alg.code for alg in all_algorithms())
-        # input arena: [lengths i64 x n_chunks][ranks i64 x n_items]
-        # [u f64 x n_items][flat f64]
-        # result arena: [values f64][code idx i64][bound-tier flag i64]
-        # [sketch n i64][sketch f64 x6] per item (80 B), then
-        # [bound_s, profile_s, reduce_s] f64 per shard (24 B)
-        in_bytes = 8 * (n_chunks + 2 * n_items + total)
-        res_bytes = 80 * n_items + 24 * len(shards)
-        with arena_pair() as (arena_in, arena_res):
-            in_handle = arena_in.reserve(in_bytes)
-            res_handle = arena_res.reserve(res_bytes)
-            arena_in.write(np.asarray(lengths, dtype=np.int64))
-            arena_in.write(
-                np.asarray(ranks, dtype=np.int64), offset=8 * n_chunks
-            )
-            arena_in.write(
-                np.asarray(us, dtype=np.float64),
-                offset=8 * (n_chunks + n_items),
-            )
-            arena_in.write_concat(
-                flats, total, np.float64, offset=8 * (n_chunks + 2 * n_items)
-            )
-            payloads = [
-                (
-                    in_handle,
-                    res_handle,
-                    n_items,
-                    n_chunks,
-                    total,
-                    s.start,
-                    s.stop,
-                    shard_index,
-                    self.comm,
-                    self.policy,
-                    threshold,
-                    self.cache_size,
-                    tree,
-                    code_table,
-                    self.bound_confidence,
-                )
-                for shard_index, s in enumerate(shards)
-            ]
-            pool.map(_reduce_many_shard, payloads, chunksize=1, path="reduce_many")
-            values = arena_res.read(np.float64, (n_items,))
-            code_idx = arena_res.read(np.int64, (n_items,), offset=8 * n_items)
-            tier_flag = arena_res.read(np.int64, (n_items,), offset=16 * n_items)
-            sk_n = arena_res.read(np.int64, (n_items,), offset=24 * n_items)
-            sk_f = arena_res.read(np.float64, (n_items, 6), offset=32 * n_items)
-            stats = arena_res.read(
-                np.float64, (len(shards), 3), offset=80 * n_items
-            )
-        sketches = [
-            StreamProfile(
-                n=int(sk_n[i]),
-                max_abs=float(sk_f[i, 0]),
-                min_abs_nonzero=float(sk_f[i, 1]),
-                abs_sum_hi=float(sk_f[i, 2]),
-                abs_sum_lo=float(sk_f[i, 3]),
-                sum_hi=float(sk_f[i, 4]),
-                sum_lo=float(sk_f[i, 5]),
-            )
-            for i in range(n_items)
-        ]
-        # replay the bound tier for all flagged items in one vectorised call
-        # (tier lanes are independent, so batching cannot change any lane)
-        tier = self._engaged_bound_tier()
-        tier_items = [i for i in range(n_items) if tier_flag[i]]
-        tier_replayed: "dict[int, SelectionDecision | None]" = {}
-        if tier_items:
-            if tier is None:
-                raise RuntimeError(
-                    "parallel decision drift: workers used the bound tier "
-                    "but it is not engaged on the parent"
-                )
-            replay_stats = [
-                BoundStats.from_stream_profile(sketches[i], us[i])
-                for i in tier_items
-            ]
-            replay_decisions = tier.decide_stream(
-                replay_stats, threshold, self.policy
-            )
-            tier_replayed = dict(zip(tier_items, replay_decisions))
-        tree_resolved = self.comm._resolve_tree(tree)
-        cost = (
-            tree_cost(tree_resolved, self.comm.topology)
-            if self.comm.topology
-            else 0.0
-        )
-        results: "list[AdaptiveResult]" = []
-        by_code: "dict[str, int]" = {}
-        n_fast = 0
-        bound_elapsed_total = 0.0
-        for shard_index, s in enumerate(shards):
-            span = s.stop - s.start
-            bound_elapsed_total += float(stats[shard_index, 0])  # repro: allow[FP003] -- wall-clock telemetry aggregate, not a numerical result
-            profile_each = (
-                float(stats[shard_index, 0]) + float(stats[shard_index, 1])
-            ) / span
-            reduce_each = float(stats[shard_index, 2]) / span
-            for i in range(s.start, s.stop):
-                if tier_flag[i]:
-                    decision = tier_replayed[i]
-                    if decision is None:
-                        raise RuntimeError(
-                            f"parallel decision drift at item {i}: worker "
-                            "bound tier resolved it, parent replay fell back"
-                        )
-                    n_fast += 1
-                else:
-                    decision = self._select_cached(sketches[i], threshold, us[i])
-                worker_code = code_table[int(code_idx[i])]
-                if decision.code != worker_code:
-                    raise RuntimeError(
-                        f"parallel decision drift at item {i}: worker chose "
-                        f"{worker_code!r}, parent replay chose {decision.code!r}"
-                    )
-                value = float(values[i])
-                results.append(
-                    AdaptiveResult(
-                        value=value,
-                        decision=decision,
-                        reduce_result=ReduceResult(
-                            value=value,
-                            tree=tree_resolved,
-                            simulated_time=cost,
-                            algorithm_code=decision.code,
-                        ),
-                        profile_seconds=profile_each,
-                        reduce_seconds=reduce_each,
-                    )
-                )
-                by_code[decision.code] = by_code.get(decision.code, 0) + 1
-        if _OBS.enabled:
-            for code, count in by_code.items():
-                _OBS.counter(
-                    "repro_selector_selections_total", algorithm=code
-                ).inc(count)
-            if tier is not None:
-                _OBS.counter("repro_select_bound_fast_path_total").inc(n_fast)
-                _OBS.counter("repro_select_profile_fallback_total").inc(
-                    n_items - n_fast
-                )
-                _OBS.histogram("repro_selector_bound_seconds").observe(
-                    bound_elapsed_total
-                )
-        return results
+        return results, sw_reduce.elapsed
 
     def _select_cached(
         self,
@@ -781,104 +602,10 @@ class AdaptiveReducer:
 
 
 def _payload_bytes(batches: Sequence[Sequence[np.ndarray]]) -> int:
-    """Total float64 bytes a stream would ship to workers (cutover input)."""
+    """Total float64 bytes of a stream's operands (cutover input)."""
     total = 0
     for chunks in batches:
         for c in chunks:
             nbytes = getattr(c, "nbytes", None)
             total += int(nbytes) if nbytes is not None else len(c) * 8
     return total
-
-
-def _reduce_many_shard(payload: tuple) -> None:
-    """Worker: run the serving pipeline on one shard, writing results
-    straight into the shared result arena.
-
-    Rebuilds the reducer from its picklable spec (communicator, policy,
-    threshold, cache size), slices zero-copy chunk views for items
-    ``[start, stop)`` out of the cached input-arena attachment
-    (:func:`repro.util.pool.arena_view` — attach once per arena epoch, not
-    once per task), and writes values, decision-code indices, the 7
-    profile-sketch fields per item and the shard's phase timings into the
-    result arena, so nothing but ``None`` returns through the pickle pipe.
-    Every arena view is dropped before returning: a lingering view would
-    block the attachment swap on the next arena regrow epoch.
-    """
-    (
-        in_handle,
-        res_handle,
-        n_items,
-        n_chunks,
-        total,
-        start,
-        stop,
-        shard_index,
-        comm,
-        policy,
-        threshold,
-        cache_size,
-        tree,
-        code_table,
-        bound_confidence,
-    ) = payload
-    lengths = arena_view(in_handle, np.int64, (n_chunks,))
-    ranks = arena_view(in_handle, np.int64, (n_items,), offset=8 * n_chunks)
-    us_all = arena_view(
-        in_handle, np.float64, (n_items,), offset=8 * (n_chunks + n_items)
-    )
-    flat = arena_view(
-        in_handle, np.float64, (total,), offset=8 * (n_chunks + 2 * n_items)
-    )
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    chunk_base = np.concatenate(([0], np.cumsum(ranks)))
-    batches = []
-    for i in range(start, stop):
-        c0, c1 = int(chunk_base[i]), int(chunk_base[i + 1])
-        batches.append(
-            [flat[int(offsets[j]) : int(offsets[j + 1])] for j in range(c0, c1)]
-        )
-    us = [float(us_all[i]) for i in range(start, stop)]
-    reducer = AdaptiveReducer(
-        comm,
-        policy,
-        threshold=threshold,
-        cache_size=cache_size,
-        bound_confidence=bound_confidence,
-    )
-    sketches, decisions, bound_elapsed, profile_elapsed, _select_elapsed = (
-        reducer._tiered_sketch_and_select(batches, threshold, us)
-    )
-    results, _groups, reduce_elapsed = reducer._grouped_reduce(
-        batches, sketches, decisions, tree
-    )
-    code_index = {code: idx for idx, code in enumerate(code_table)}
-    span = slice(start, stop)
-    values_v = arena_view(res_handle, np.float64, (n_items,))
-    codes_v = arena_view(res_handle, np.int64, (n_items,), offset=8 * n_items)
-    tier_v = arena_view(res_handle, np.int64, (n_items,), offset=16 * n_items)
-    skn_v = arena_view(res_handle, np.int64, (n_items,), offset=24 * n_items)
-    skf_v = arena_view(res_handle, np.float64, (n_items, 6), offset=32 * n_items)
-    stats_v = arena_view(
-        res_handle, np.float64, (3,), offset=80 * n_items + 24 * shard_index
-    )
-    values_v[span] = [rr.value for rr in results]
-    codes_v[span] = [code_index[d.code] for d in decisions]
-    tier_v[span] = [1 if d.tier == "bound" else 0 for d in decisions]
-    skn_v[span] = [sk.n for sk in sketches]
-    skf_v[span] = [
-        [
-            sk.max_abs,
-            sk.min_abs_nonzero,
-            sk.abs_sum_hi,
-            sk.abs_sum_lo,
-            sk.sum_hi,
-            sk.sum_lo,
-        ]
-        for sk in sketches
-    ]
-    stats_v[0] = bound_elapsed
-    stats_v[1] = profile_elapsed
-    stats_v[2] = reduce_elapsed
-    del values_v, codes_v, tier_v, skn_v, skf_v, stats_v
-    del batches, flat, lengths, ranks, us_all
-    return None

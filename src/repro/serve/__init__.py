@@ -24,8 +24,8 @@ dependencies:
   ``GET /metrics`` (Prometheus text) and ``GET /healthz``;
 * :mod:`repro.serve.cli` — the ``repro-serve`` entry point, including the
   SIGTERM/SIGINT handling that drains in-flight requests and releases the
-  worker pool's shared-memory arenas (``atexit`` alone does not run on
-  SIGTERM).
+  shard threads and the worker pool's shared-memory arenas (``atexit``
+  alone does not run on SIGTERM).
 
 Every response value is bitwise-identical to a standalone
 :meth:`AdaptiveReducer.reduce` of the same payload — micro-batching changes

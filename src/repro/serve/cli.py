@@ -2,7 +2,8 @@
 
 Beyond argument plumbing, this module owns the process-lifetime concern
 the library cannot: **signal-driven shutdown**.  The worker pool's
-shared-memory arenas are unlinked by an ``atexit`` hook, but ``atexit``
+shared-memory arenas (materialised by ``/v1/ensemble`` at ``workers >= 2``)
+are unlinked by an ``atexit`` hook, but ``atexit``
 only runs on normal interpreter exit — a SIGTERM (the way every container
 runtime and init system stops a service) would previously kill the
 process with the ``/dev/shm`` segments still linked, leaking them until
@@ -52,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for reduce_many/ensemble sharding "
-        "(default: adaptive cutover via REPRO_WORKERS/cpu count)",
+        help="parallel shards: reduce_many shard threads and ensemble "
+        "worker processes (default: adaptive cutover via "
+        "REPRO_WORKERS/cpu count)",
     )
     parser.add_argument(
         "--threshold", type=float, default=1e-13,

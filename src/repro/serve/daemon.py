@@ -13,8 +13,8 @@ The data plane is zero-copy end to end for the binary codec
 request bodies accumulate into a reusable per-connection buffer, frame
 payloads reach NumPy as ``memoryview``-backed arrays (no intermediate
 ``bytes``, no forced ``astype``), per-rank chunks are zero-copy slices of
-that buffer which the selector concatenates *directly* into the worker
-pool's shared-memory arena, and responses render from cached header
+that buffer which the C kernels read in place (on ``reduce_many``'s shard
+threads too, at ``workers >= 2``), and responses render from cached header
 scaffolds into a reusable scratch buffer.  The JSON codec stays for
 compatibility; codec traffic is split on
 ``repro_serve_codec_total{codec}`` with per-codec ingest latency.
@@ -108,8 +108,8 @@ class ReproServeDaemon:
     ``port=0`` binds an ephemeral port (``self.port`` holds the real one
     after :meth:`start`) — the tests and the bench rely on that.  Use as an
     async context manager, or pair :meth:`start`/:meth:`stop` manually.
-    ``workers`` is forwarded to ``reduce_many``/``evaluate_ensemble`` for
-    multicore sharding; ``default_deadline_ms`` applies to requests that
+    ``workers`` is forwarded to ``reduce_many`` (shard threads) and
+    ``evaluate_ensemble`` (worker processes) for multicore sharding; ``default_deadline_ms`` applies to requests that
     do not set their own ``deadline_ms``.
     """
 
@@ -173,8 +173,9 @@ class ReproServeDaemon:
 
         Idempotent — the SIGTERM path and the async-context exit may both
         get here.  ``release_pool`` runs :func:`repro.util.pool.shutdown_pool`
-        (itself idempotent), unlinking the dispatch arenas' shared-memory
-        segments so a signalled daemon leaves nothing in ``/dev/shm``.
+        (itself idempotent), stopping the shard threads and unlinking the
+        ensemble arenas' shared-memory segments so a signalled daemon
+        leaves nothing in ``/dev/shm``.
         """
         if self._server is not None:
             self._server.close()

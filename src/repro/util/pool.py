@@ -1,44 +1,54 @@
-"""Persistent multicore serving pool with zero-copy shared-memory dispatch.
+"""Persistent multicore pool with zero-copy shared-memory dispatch.
 
-The serving-path engines (``AdaptiveReducer.reduce_many``, ensemble sweeps,
-grid experiments) fan independent work units out over processes.  Before this
-module each fan-out built a fresh ``ProcessPoolExecutor`` — paying worker
-spawn plus a full interpreter/NumPy import per call — and shipped every array
-operand through the IPC pipe as pickled bytes.  Both costs are hoisted here:
+Two parallel mechanisms live here, each where it measured faster:
 
-* **Persistent pool** — one process-global :class:`WorkerPool`, lazily
-  started on first dispatch and reused by every subsequent call (explicit
-  :func:`shutdown_pool` plus an ``atexit`` hook).  Worker count comes from
-  ``REPRO_WORKERS`` or cpu_count − 1; the start method prefers ``forkserver``
-  (fork-safety with threads, workers importable once then forked) and falls
-  back to ``spawn``, overridable via ``REPRO_POOL_START``.  A crashed worker
-  breaks a ``ProcessPoolExecutor`` irrecoverably, so :meth:`WorkerPool.map`
-  detects ``BrokenProcessPool``, rebuilds the executor, retries the batch
-  once (dispatched tasks are deterministic and idempotent by construction),
-  and counts the restart.
-* **Persistent arenas** — the serving engines dispatch through a
-  pool-lifetime shared-memory segment pair (:func:`arena_pair`: an input
-  arena and a result arena), sized geometrically by :meth:`SharedArena.reserve`
-  and reused across calls, so a warm dispatch performs **zero** segment
-  create/unlink syscalls.  Workers cache their attachment per arena epoch
-  (:func:`arena_view`; attach once per segment generation, not once per
-  task) and write results — reduced values *and* decision codes — straight
-  into the result arena instead of pickling them back through the IPC pipe.
-  Only tiny descriptors (segment name, generation, shard bounds) are
-  pickled.  :class:`SharedArray`/:func:`attach_shared` remain as the
-  one-shot building blocks for ad-hoc payloads.
-* **Adaptive cutover** — :func:`shard_plan` keeps small batches serial: IPC
-  only pays for itself past a bytes-and-items threshold (tunable via
-  ``REPRO_PARALLEL_MIN_ITEMS`` / ``REPRO_PARALLEL_MIN_BYTES``, parsed once
-  per process — see :func:`reload_parallel_env`), while an explicit
-  ``workers >= 2`` request always parallelises.
+* **Shard threads** — :func:`run_sharded` runs contiguous shards of
+  ``AdaptiveReducer.reduce_many`` on threads of the calling process.  Every
+  serving kernel drops the GIL while it computes, so threads overlap the
+  arithmetic with no operand copy, no pickling and no per-worker reducer:
+  each shard runs the serial pipeline on the caller's own reducer.
+* **Worker processes** — ensemble sweeps, grid experiments and
+  :func:`repro.util.parallel.map_parallel` run Python-level work, which the
+  GIL would serialise, so they fan out over processes.  Before this module
+  each fan-out built a fresh ``ProcessPoolExecutor`` — paying worker spawn
+  plus a full interpreter/NumPy import per call — and shipped every array
+  operand through the IPC pipe as pickled bytes.  Both costs are hoisted:
 
-Determinism contract: callers shard work into *contiguous* ranges and
-workers receive bit-identical operand bytes (``float64`` views of the packed
-segment), so every parallel result is bitwise-equal to the serial path —
-sharding selects *where* each independent item is computed, never *how*.
-The property tests in ``tests/test_parallel_determinism.py`` pin this across
-worker counts.
+  * **Persistent pool** — one process-global :class:`WorkerPool`, lazily
+    started on first dispatch and reused by every subsequent call (explicit
+    :func:`shutdown_pool` plus an ``atexit`` hook).  Worker count comes from
+    ``REPRO_WORKERS`` or cpu_count − 1; the start method prefers
+    ``forkserver`` (fork-safety with threads, workers importable once then
+    forked) and falls back to ``spawn``, overridable via
+    ``REPRO_POOL_START``.  A crashed worker breaks a ``ProcessPoolExecutor``
+    irrecoverably, so :meth:`WorkerPool.map` detects ``BrokenProcessPool``,
+    rebuilds the executor, retries the batch once (dispatched tasks are
+    deterministic and idempotent by construction), and counts the restart.
+  * **Persistent arenas** — process dispatches go through a pool-lifetime
+    shared-memory segment pair (:func:`arena_pair`: an input arena and a
+    result arena), sized geometrically by :meth:`SharedArena.reserve` and
+    reused across calls, so a warm dispatch performs **zero** segment
+    create/unlink syscalls.  Workers cache their attachment per arena epoch
+    (:func:`arena_view`; attach once per segment generation, not once per
+    task) and write results straight into the result arena instead of
+    pickling them back through the IPC pipe.  Only tiny descriptors
+    (segment name, generation, shard bounds) are pickled.
+    :class:`SharedArray`/:func:`attach_shared` remain as the one-shot
+    building blocks for ad-hoc payloads.
+
+* **Adaptive cutover** — :func:`shard_plan` keeps small batches serial for
+  both mechanisms: parallel dispatch only pays for itself past a
+  bytes-and-items threshold (tunable via ``REPRO_PARALLEL_MIN_ITEMS`` /
+  ``REPRO_PARALLEL_MIN_BYTES``, parsed once per process — see
+  :func:`reload_parallel_env`), while an explicit ``workers >= 2`` request
+  always parallelises.
+
+Determinism contract: callers shard work into *contiguous* ranges and every
+shard reads bit-identical operand bytes (the caller's own arrays on threads,
+``float64`` views of the packed segment in workers), so every parallel
+result is bitwise-equal to the serial path — sharding selects *where* each
+independent item is computed, never *how*.  The property tests in
+``tests/test_parallel_determinism.py`` pin this across worker counts.
 
 Observability (parent-side, via :mod:`repro.obs`): tasks dispatched, shard
 sizes, pool starts/worker restarts, shared-memory bytes in flight, and
@@ -48,13 +58,14 @@ dispatch/roundtrip latency histograms.
 from __future__ import annotations
 
 import atexit
+import contextvars
 import os
 import sys
 import threading
 import time
 import warnings
 from contextlib import contextmanager
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -75,6 +86,7 @@ __all__ = [
     "get_pool",
     "shutdown_pool",
     "pool_info",
+    "run_sharded",
     "SharedArray",
     "attach_shared",
     "SharedArena",
@@ -93,11 +105,12 @@ __all__ = [
 
 _OBS = get_registry()
 
-#: auto-cutover floors, recalibrated for warm-arena dispatch: a reused arena
-#: pays one memcpy in plus a ~100 µs pool round trip (no segment create or
-#: unlink syscalls, no pickled result return), so parallel breaks even on
+#: auto-cutover floors, calibrated for warm-arena process dispatch: a reused
+#: arena pays one memcpy in plus a ~100 µs pool round trip (no segment create
+#: or unlink syscalls, no pickled result return), so parallel breaks even on
 #: much smaller batches than the one-shot SharedArray path did (was 8 items /
-#: 2 MiB)
+#: 2 MiB).  reduce_many's shard threads use the same floors (see
+#: parallel_cutover)
 MIN_PARALLEL_ITEMS = 4
 MIN_PARALLEL_BYTES = 1 << 18  # 256 KiB of float64 payload
 
@@ -365,7 +378,7 @@ class WorkerPool:
         """Ordered parallel map through the persistent executor.
 
         ``path`` labels the dispatch in the pool metrics (``"map"``,
-        ``"reduce_many"``, ``"ensemble"``, ...).  Worker exceptions propagate
+        ``"ensemble"``, ...).  Worker exceptions propagate
         unchanged; only a *broken pool* (crashed worker) triggers the
         rebuild-and-retry cycle.
         """
@@ -439,6 +452,46 @@ def get_pool(workers: "int | None" = None) -> WorkerPool:
         return pool
 
 
+# -- in-process shard threads --------------------------------------------------
+#
+# One executor for the whole process, created on first use.  Its threads are
+# started on demand (one per concurrently submitted shard, up to the
+# ThreadPoolExecutor default cap), so an idle process holds none.
+
+_SHARD_THREADS: "ThreadPoolExecutor | None" = None
+
+
+def _shard_threads() -> ThreadPoolExecutor:
+    global _SHARD_THREADS
+    with _GLOBAL_LOCK:
+        if _SHARD_THREADS is None:
+            _SHARD_THREADS = ThreadPoolExecutor(thread_name_prefix="repro-shard")
+        return _SHARD_THREADS
+
+
+def run_sharded(fn: "Callable[..., R]", shard_args: "Sequence[tuple]") -> "list[R]":
+    """``[fn(*args) for args in shard_args]`` with the shards run concurrently.
+
+    The calling thread runs the first shard and the process-wide shard
+    executor runs the rest, each inside its own copy of the caller's
+    :mod:`contextvars` context, so request-scoped context variables (a trace
+    span parent, a request id) are visible on the shard thread.  Results
+    come back in ``shard_args`` order and the first exception propagates.
+    Every shard has finished by the time this returns or raises: no shard
+    reads the caller's operands afterwards.
+    """
+    executor = _shard_threads()
+    futures = [
+        executor.submit(contextvars.copy_context().run, fn, *args)
+        for args in shard_args[1:]
+    ]
+    try:
+        first = fn(*shard_args[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
 #: reentrancy guard for :func:`shutdown_pool`.  ``atexit`` does not run on
 #: SIGTERM, so long-lived daemons (``repro-serve``) install signal handlers
 #: that call :func:`shutdown_pool` themselves — and a handler can fire while
@@ -450,7 +503,8 @@ _SHUTDOWN_ACTIVE = False
 
 
 def shutdown_pool() -> None:
-    """Stop every global pool's workers and unlink the arenas.
+    """Stop every global pool's workers and the shard threads, and unlink
+    the arenas.
 
     Registered as an ``atexit`` hook, but ``atexit`` does not run on
     SIGTERM — a killed daemon would leak arena segments under ``/dev/shm``
@@ -466,7 +520,7 @@ def shutdown_pool() -> None:
     The persistent arenas are unlinked too (workers are gone, so no mapping
     outlives this), returning ``repro_pool_shm_bytes_in_flight`` to zero.
     """
-    global _SHUTDOWN_ACTIVE
+    global _SHUTDOWN_ACTIVE, _SHARD_THREADS
     with _SHUTDOWN_GUARD:
         if _SHUTDOWN_ACTIVE:
             return  # reentered from a signal handler mid-shutdown
@@ -476,6 +530,9 @@ def shutdown_pool() -> None:
                 for pool in _POOLS.values():
                     pool.shutdown()
                 _POOLS.clear()
+                threads, _SHARD_THREADS = _SHARD_THREADS, None
+            if threads is not None:
+                threads.shutdown(wait=True)
             _close_arenas()
         finally:
             _SHUTDOWN_ACTIVE = False
@@ -651,7 +708,7 @@ class attach_shared:
 #
 # The one-shot SharedArray path pays three fixed costs per dispatch: a segment
 # create + unlink syscall pair, a fresh attach in every worker task, and a
-# pickled result return.  The serving engines instead dispatch through one
+# pickled result return.  Process dispatches (ensembles) instead go through one
 # process-global pair of pool-lifetime arenas ("input" and "result"): the
 # parent reserves capacity (grown geometrically, so steady-state traffic
 # reuses the same segment), writes operands in, and workers write results
@@ -880,15 +937,18 @@ def arena_view(handle: "tuple[str, int, str]", dtype, shape, offset: int = 0) ->
 
 
 def parallel_cutover(n_items: int, total_bytes: int, workers: int) -> bool:
-    """Auto-mode decision: is this payload worth the IPC round trip?
+    """Auto-mode decision: is this payload worth sharding?
 
-    Calibrated against the measured fixed costs of a warm **arena** dispatch
-    (one memcpy of the payload into the reused input arena plus a ~100 µs
-    pool round trip; no segment create/unlink, no pickled result return):
-    both the item floor and the byte floor must clear, and the payload must
-    stay under the auto-materialisation cap.  The ``REPRO_PARALLEL_*``
-    overrides are parsed once per process (see :func:`reload_parallel_env`),
-    never per call.
+    Both the item floor and the byte floor must clear, and the payload must
+    stay under the auto-materialisation cap.  The floors were calibrated
+    against the fixed costs of a warm **arena** process dispatch (one memcpy
+    of the payload into the reused input arena plus a ~100 µs pool round
+    trip), which ``evaluate_ensemble`` still pays.  ``reduce_many``'s shard
+    threads pay only a thread hand-off and copy nothing, so for them the
+    floors are conservative; they are kept because serial still matched or
+    beat two threads on small ticks (16 items of 48 × 128 values, 2-vCPU
+    host).  The ``REPRO_PARALLEL_*`` overrides are parsed
+    once per process (see :func:`reload_parallel_env`), never per call.
     """
     if _IN_WORKER or workers <= 1 or n_items < 2:
         return False
@@ -903,10 +963,10 @@ def shard_plan(
 ) -> "tuple[int, int]":
     """Plan a dispatch: ``(pool_workers, n_shards)``.
 
-    ``n_shards == 1`` means "run serial, don't touch the pool".  An explicit
-    ``workers >= 2`` always parallelises (the caller asked); ``workers`` of
-    ``None`` defers to :func:`default_workers` gated by
-    :func:`parallel_cutover`, so small batches never pay IPC.
+    ``n_shards == 1`` means "run serial, don't touch the pool or the shard
+    threads".  An explicit ``workers >= 2`` always parallelises (the caller
+    asked); ``workers`` of ``None`` defers to :func:`default_workers` gated
+    by :func:`parallel_cutover`, so small batches never pay dispatch.
     """
     if n_items < 2:
         return (1, 1)

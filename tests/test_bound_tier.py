@@ -23,7 +23,6 @@ from repro.obs import get_registry
 from repro.selection import (
     AdaptiveReducer,
     AnalyticPolicy,
-    BoundStats,
     BoundTier,
     bound_stats_item,
     bound_stats_stream,
@@ -304,10 +303,41 @@ class TestStatisticsPass:
                     mags, initial=math.inf, where=mags > 0.0
                 )
 
-    def test_stats_round_trip_through_stream_profile(self):
-        stats = bound_stats_item(_chunks("wide", 1), 2.0**-24)
-        again = BoundStats.from_stream_profile(stats.as_stream_profile(), 2.0**-24)
-        assert again == stats
+    def test_numpy_sweep_is_safe_under_concurrent_callers(self, monkeypatch):
+        """Two threads sweeping different streams on the NumPy fallback
+        each get their own statistics (no buffer shared between calls)."""
+        import threading
+
+        import repro.selection.bound_tier as bt
+
+        monkeypatch.setattr(bt, "_kernel_stats", lambda batches, us: None)
+        streams = []
+        for seed in (11, 12):
+            rng = np.random.default_rng(seed)
+            streams.append(
+                [
+                    [rng.standard_normal(128) * 10.0**seed for _ in range(48)]
+                    for _ in range(8)
+                ]
+            )
+        us = [UNIT_ROUNDOFF] * 8
+        expected = [bound_stats_stream(s, us) for s in streams]
+        wrong = [0, 0]
+        start = threading.Barrier(2)
+
+        def sweep(k):
+            start.wait()
+            for _ in range(150):
+                if bound_stats_stream(streams[k], us) != expected[k]:
+                    wrong[k] += 1
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0, 0]
 
     def test_empty_and_zero_items(self):
         zero = bound_stats_item([np.zeros(8), np.zeros(8)], UNIT_ROUNDOFF)

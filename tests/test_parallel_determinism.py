@@ -1,16 +1,21 @@
 """Bitwise determinism of the multicore serving paths across worker counts.
 
 The sharding contract (Benmouhoub et al.'s constraint: parallel execution
-must not perturb the numerics): ``reduce_many``, ``evaluate_ensemble`` and
-the grid sweeps split *independent* work items into contiguous shards, so
-the parallel result — values **and** decisions — must be byte-identical to
-the serial path at every worker count.  These property tests pin that
-across workers ∈ {1, 2, 4}, plus a crashed-worker recovery check.
+must not perturb the numerics): ``reduce_many`` (on shard threads),
+``evaluate_ensemble`` and the grid sweeps (on worker processes) split
+*independent* work items into contiguous shards, so the parallel result —
+values **and** decisions — must be byte-identical to the serial path at
+every worker count.  These property tests pin that across workers ∈
+{1, 2, 4}, plus crashed-worker recovery and the process pool's
+shared-memory arena epochs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from repro.mpi.comm import SimComm
 from repro.selection.selector import AdaptiveReducer
 from repro.summation import get_algorithm
 from repro.trees import evaluate_ensemble, random_shape
-from repro.util.pool import get_pool
+from repro.util.pool import arena_info, get_pool, shutdown_pool
 from repro.util.rng import permutation_stream
 
 WORKER_COUNTS = (1, 2, 4)
@@ -64,9 +69,8 @@ class TestReduceManyDeterminism:
             assert len(results) == len(base)
             for a, b in zip(base, results):
                 assert _bits(a.value) == _bits(b.value)
-                # decision.predicted_std is a cache-bucket representative and
-                # so depends on stream order; the selected code must not.
                 assert a.decision.code == b.decision.code
+                assert a.decision.tier == b.decision.tier
         return base
 
     def test_uniform_stream_bitwise_identical(self):
@@ -170,7 +174,8 @@ class TestCrashRecoveryMidService:
         with pytest.raises(BrokenProcessPool):
             pool.map(_crash, [1, 0, 2], chunksize=1)
         assert pool.restarts > restarts_before
-        # the very next serving call heals the pool and stays bitwise-correct
+        # reduce_many shards on threads, so a broken process pool cannot
+        # touch it: the very next serving call stays bitwise-correct
         batches = _uniform_stream(n_items=8)
         comm = SimComm(4)
         reducer = AdaptiveReducer(comm, threshold=1e-13)
@@ -192,58 +197,55 @@ def _wide_stream(n_items: int = 24, n_ranks: int = 4, width: int = 512):
     ]
 
 
+def _ensemble_case(n: int = 256, n_trees: int = 24, seed: int = 5):
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, size=n)
+    return data, get_algorithm("K"), n_trees
+
+
 class TestArenaServing:
-    """The persistent-arena dispatch: reuse, regrow and crash epochs must all
-    stay invisible to the numerics."""
+    """The persistent-arena dispatch behind ``evaluate_ensemble(workers>=2)``
+    (``/v1/ensemble``): reuse, regrow and crash epochs must all stay
+    invisible to the numerics.  ``reduce_many`` shards on threads and must
+    stay bitwise across thresholds while feeding the reducer's own cache."""
 
     def test_arena_reused_across_serving_calls(self):
-        from repro.util.pool import arena_info
-
-        batches = _uniform_stream(n_items=8)
-        comm = SimComm(4)
-        reducer = AdaptiveReducer(comm, threshold=1e-13)
-        reducer.reduce_many(batches, tree="balanced", workers=2)
+        data, alg, n_trees = _ensemble_case()
+        evaluate_ensemble(data, "balanced", alg, n_trees, seed=1, workers=2)
         before = arena_info()
         assert set(before) == {"input", "result"}
-        reducer.reduce_many(batches, tree="balanced", workers=2)
+        evaluate_ensemble(data, "balanced", alg, n_trees, seed=1, workers=2)
         # warm steady state: same segments, same generation, no regrow
         assert arena_info() == before
 
     def test_arena_regrow_epoch_stays_bitwise(self):
-        from repro.util.pool import arena_info
-
-        comm = SimComm(4)
-        reducer = AdaptiveReducer(comm, threshold=1e-13)
-        small = _uniform_stream(n_items=8)
-        reducer.reduce_many(small, tree="balanced", workers=2)
+        shutdown_pool()  # fresh arenas: the small call sizes the first epoch
+        data, alg, n_trees = _ensemble_case()
+        evaluate_ensemble(data, "balanced", alg, n_trees, seed=1, workers=2)
         gen_before = arena_info()["input"]["generation"]
-        big = _wide_stream()  # ~400 KiB of operands: forces an arena regrow
-        serial = reducer.reduce_many(big, tree="balanced", workers=1)
-        parallel = reducer.reduce_many(big, tree="balanced", workers=2)
+        # ~400 KiB of permutations against a 64 KiB first epoch: a regrow
+        big, alg, n_big = _ensemble_case(n=512, n_trees=100, seed=6)
+        serial = evaluate_ensemble(big, "balanced", alg, n_big, seed=2, workers=1)
+        parallel = evaluate_ensemble(big, "balanced", alg, n_big, seed=2, workers=2)
         assert arena_info()["input"]["generation"] > gen_before
-        for a, b in zip(serial, parallel):
-            assert _bits(a.value) == _bits(b.value)
-            assert a.decision.code == b.decision.code
+        assert serial.tobytes() == parallel.tobytes()
 
     def test_crash_recovery_reattaches_and_stays_bitwise(self):
-        comm = SimComm(4)
-        reducer = AdaptiveReducer(comm, threshold=1e-13)
-        reducer.reduce_many(_uniform_stream(n_items=8), tree="balanced", workers=2)
+        data, alg, n_trees = _ensemble_case()
+        evaluate_ensemble(data, "balanced", alg, n_trees, seed=1, workers=2)
         pool = get_pool(2)
         with pytest.raises(BrokenProcessPool):
             pool.map(_crash, [1, 0, 2], chunksize=1)
         # replacement workers hold no cached attachments: the next dispatch
         # re-attaches the (possibly regrown) arena from the handle alone
-        big = _wide_stream(n_items=16)
-        serial = reducer.reduce_many(big, tree="balanced", workers=1)
-        parallel = reducer.reduce_many(big, tree="balanced", workers=2)
-        for a, b in zip(serial, parallel):
-            assert _bits(a.value) == _bits(b.value)
-            assert a.decision.code == b.decision.code
+        big, alg, n_big = _ensemble_case(n=512, n_trees=64, seed=7)
+        serial = evaluate_ensemble(big, "balanced", alg, n_big, seed=3, workers=1)
+        parallel = evaluate_ensemble(big, "balanced", alg, n_big, seed=3, workers=2)
+        assert serial.tobytes() == parallel.tobytes()
 
     def test_fused_shard_kernel_bitwise_across_thresholds(self):
-        # sweeping the tolerance forces different algebras through the fused
-        # per-shard C kernel (ST/K/KBN/CP/DD all reachable)
+        # sweeping the tolerance sends different algebras through the fused
+        # grouped-reduce C kernel on every shard (ST/K/KBN/CP/DD reachable)
         batches = _uniform_stream(n_items=12, n_ranks=5, width=64)
         comm = SimComm(5)
         for thr in (1e-6, 1e-13, 1e-30):
@@ -255,8 +257,8 @@ class TestArenaServing:
                 assert a.decision.code == b.decision.code
 
     def test_parallel_calls_populate_parent_decision_cache(self):
-        # the parent replays selection from arena-returned sketches, so the
-        # serving cache warms up identically to a serial run
+        # every shard selects through this reducer, so its decision cache
+        # counts exactly one query per item, as a serial run does
         batches = _uniform_stream(n_items=10)
         comm = SimComm(4)
         reducer = AdaptiveReducer(comm, threshold=1e-13)
@@ -264,3 +266,80 @@ class TestArenaServing:
         info = reducer.decision_cache_info()
         assert info["hits"] + info["misses"] == len(batches)
         assert info["misses"] >= 1
+
+
+def _shm_segments() -> "set[str]":
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+class TestShardThreads:
+    """``reduce_many`` shards run on threads of the calling process."""
+
+    @pytest.mark.parametrize("confidence", [None, 1 - 1e-6])
+    def test_wide_stream_bitwise_with_and_without_bound_tier(self, confidence):
+        batches = _wide_stream()
+        comm = SimComm(4)
+        runs = [
+            AdaptiveReducer(
+                comm, threshold=1e-13, bound_confidence=confidence
+            ).reduce_many(batches, tree="balanced", workers=w)
+            for w in WORKER_COUNTS
+        ]
+        for results in runs[1:]:
+            for a, b in zip(runs[0], results):
+                assert _bits(a.value) == _bits(b.value)
+                assert a.decision.code == b.decision.code
+                assert a.decision.tier == b.decision.tier
+
+    def test_oversubscribed_shards_share_one_decision_cache(self):
+        # more shard threads than cores, switching as often as possible: the
+        # cache tallies must still count exactly one query per item
+        batches = _uniform_stream(n_items=32, width=64)
+        comm = SimComm(4)
+        serial = AdaptiveReducer(comm, threshold=1e-13).reduce_many(
+            batches, tree="balanced", workers=1
+        )
+        reducer = AdaptiveReducer(comm, threshold=1e-13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sharded = reducer.reduce_many(batches, tree="balanced", workers=8)
+                for a, b in zip(serial, sharded):
+                    assert _bits(a.value) == _bits(b.value)
+                    assert a.decision.code == b.decision.code
+        finally:
+            sys.setswitchinterval(interval)
+        info = reducer.decision_cache_info()
+        assert info["hits"] + info["misses"] == 5 * len(batches)
+
+    def test_sharding_touches_no_shared_memory(self):
+        shutdown_pool()  # no arenas: a shared-memory dispatch would create them
+        reducer = AdaptiveReducer(SimComm(4), threshold=1e-13)
+        segments = _shm_segments()
+        for w in (2, 4):
+            reducer.reduce_many(_wide_stream(), tree="balanced", workers=w)
+        assert arena_info() == {}
+        assert _shm_segments() == segments
+
+    def test_shard_threads_see_the_callers_context(self):
+        request = contextvars.ContextVar("request", default=None)
+        reducer = AdaptiveReducer(SimComm(4), threshold=1e-13)
+        run_shard = reducer._reduce_shard
+        seen = []
+
+        def spy(*args):
+            seen.append((threading.get_ident(), request.get()))
+            return run_shard(*args)
+
+        reducer._reduce_shard = spy
+        token = request.set("rid-7")
+        try:
+            reducer.reduce_many(_uniform_stream(n_items=8), workers=2)
+        finally:
+            request.reset(token)
+        caller = threading.get_ident()
+        assert [v for tid, v in seen if tid == caller] == ["rid-7"]
+        assert [v for tid, v in seen if tid != caller] == ["rid-7"]

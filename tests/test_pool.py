@@ -1,8 +1,11 @@
-"""Persistent worker pool: lifecycle, shm dispatch, cutover, env handling."""
+"""Persistent worker pool: lifecycle, shm dispatch, shard threads, cutover,
+env handling."""
 
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.util.pool import (
     pool_info,
     register_worker_state,
     reload_parallel_env,
+    run_sharded,
     shard_plan,
     shutdown_pool,
     worker_state,
@@ -155,6 +159,42 @@ class TestPoolLifecycle:
             pool_mod._close_arenas = original
         assert len(inner_calls) == 1  # the reentrant call did not recurse
         assert get_pool(2).map(_square, [2], chunksize=1) == [4]
+        shutdown_pool()
+
+
+class TestShardThreads:
+    def test_results_in_order_and_first_shard_on_caller(self):
+        caller = threading.get_ident()
+        out = run_sharded(
+            lambda i: (i, threading.get_ident() == caller), [(i,) for i in range(4)]
+        )
+        assert [i for i, _ in out] == [0, 1, 2, 3]
+        assert [on_caller for _, on_caller in out] == [True, False, False, False]
+
+    def test_exception_propagates_after_every_shard_finished(self):
+        finished = []
+
+        def shard(i):
+            if i == 0:
+                raise ValueError("shard 0 failed")
+            time.sleep(0.05)
+            finished.append(i)
+            return i
+
+        with pytest.raises(ValueError, match="shard 0"):
+            run_sharded(shard, [(0,), (1,), (2,)])
+        assert sorted(finished) == [1, 2]
+        with pytest.raises(KeyError):
+            run_sharded(lambda i: {}[i], [(0,), (1,)])
+
+    def test_shutdown_stops_the_shard_threads(self):
+        run_sharded(lambda i: i, [(0,), (1,)])
+        shutdown_pool()
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("repro-shard")
+        ]
+        # the next call lazily starts a fresh executor
+        assert run_sharded(lambda i: i * 2, [(1,), (2,)]) == [2, 4]
         shutdown_pool()
 
 

@@ -1040,7 +1040,7 @@ class TestSigterm:
         env = {
             **os.environ,
             "PYTHONPATH": _REPO_SRC,
-            # force the pool + shm arenas to materialise on small traffic
+            # force the pool + shm arenas to materialise on small ensembles
             "REPRO_WORKERS": "2",
             "REPRO_PARALLEL_MIN_ITEMS": "1",
             "REPRO_PARALLEL_MIN_BYTES": "1",
@@ -1080,6 +1080,20 @@ class TestSigterm:
             status, body = _post(port, "/v1/reduce_many", {"items": items})
             assert status == 200
             assert len(body["results"]) == 8
+            # reduce_many shards on threads; the ensemble endpoint is what
+            # dispatches through the process pool's shared-memory arenas
+            status, body = _post(
+                port,
+                "/v1/ensemble",
+                {
+                    "values_b64": encode_values(rng.normal(size=2048)),
+                    "algorithm": "K",
+                    "n_trees": 16,
+                    "seed": 1,
+                },
+            )
+            assert status == 200
+            assert body["n_trees"] == 16
             during = {
                 n for n in set(os.listdir("/dev/shm")) - before
                 if n.startswith("psm_")

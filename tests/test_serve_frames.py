@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from repro.generators.conditioned import generate_sum_set
 from repro.mpi import SimComm
 from repro.obs import get_registry
 from repro.selection import AdaptiveReducer
@@ -30,6 +34,7 @@ from repro.serve.frames import (
     payload_array,
 )
 from repro.serve.protocol import HttpError, KeepAliveClient, encode_values
+from repro.util.pool import shutdown_pool
 
 
 @pytest.fixture
@@ -454,3 +459,87 @@ class TestDaemonBinary:
         status, body = asyncio.run(run())
         assert status == 429
         assert "cannot" in body["error"]
+
+
+#: the paper's (k, dr) grid: at 512 values it selects ST, CP and PR across
+#: both selection tiers
+KDR_GRID = tuple(
+    (k, dr) for k in (1.0, 1e3, 1e6, 1e9, 1e12, math.inf) for dr in (8, 32)
+)
+
+
+def _shm_segments() -> "set[str]":
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+class TestDaemonWorkersTwo:
+    """The daemon at ``workers=2``, its default on 3-core hosts."""
+
+    RANKS = 8
+    CONFIDENCE = 0.999999
+
+    def _grid_frame(self, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return np.stack(
+            [
+                np.asarray(generate_sum_set(512, k, dr, seed=rng).values, np.float64)
+                for k, dr in KDR_GRID
+            ]
+        )
+
+    def test_binary_reduce_many_bitwise_equal_to_one_worker(self):
+        frames = [self._grid_frame(seed) for seed in range(3)]
+        comm = SimComm(self.RANKS)
+        expected = AdaptiveReducer(
+            comm, threshold=1e-13, bound_confidence=self.CONFIDENCE
+        ).reduce_many(
+            [comm.scatter_array(row) for frame in frames for row in frame],
+            workers=1,
+        )
+        shutdown_pool()  # start with no shard threads
+        segments = _shm_segments()
+
+        async def post(daemon, frame):
+            async with KeepAliveClient(daemon.host, daemon.port) as client:
+                r = await client.request(
+                    "POST",
+                    "/v1/reduce_many",
+                    _request_frame(frame),
+                    content_type=FRAME_CONTENT_TYPE,
+                )
+                assert r.status == 200, bytes(r.body)
+                header, arr = _response_array(r.body)
+                return header["results"], arr.copy()
+
+        async def run():
+            async with ReproServeDaemon(
+                ranks=self.RANKS,
+                workers=2,
+                bound_confidence=self.CONFIDENCE,
+                max_linger_us=20_000.0,
+            ) as daemon:
+                replies = await asyncio.gather(*(post(daemon, f) for f in frames))
+                shard_threads = [
+                    t for t in threading.enumerate()
+                    if t.name.startswith("repro-shard")
+                ]
+                return replies, shard_threads, _shm_segments()
+
+        replies, shard_threads, segments_during = asyncio.run(run())
+        assert shard_threads, "no tick was sharded"
+        assert segments_during == segments
+        served = [
+            (meta, value)
+            for metas, values in replies
+            for meta, value in zip(metas, values)
+        ]
+        assert len(served) == len(expected)
+        tiers = set()
+        for (meta, value), want in zip(served, expected):
+            assert float(value).hex() == float(want.value).hex()
+            assert meta["algorithm"] == want.decision.code
+            assert meta["tier"] == want.decision.tier
+            tiers.add(meta["tier"])
+        assert tiers == {"bound", "profile"}
